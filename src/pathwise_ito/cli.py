@@ -10,9 +10,10 @@ Five subcommands tie the library into reproducible experiments:
 
 Data goes to ``-o`` (file) or stdout; human-readable summaries go to
 stderr.  Relative output paths resolve against $PATHWISE_ITO_OUT_DIR.
-Exit codes: 0 success, 1 domain or convergence-gate failure, 2 bad
-input (I/O, CSV, JSON, config).  All numbers print with 17 significant
-digits so outputs are bit-stable across runs.
+Exit codes: 0 success, 1 domain failure (including a NaN or infinite
+term) or convergence-gate failure, 2 bad input (I/O, CSV, JSON, config).
+All numbers print with 17 significant digits so outputs are bit-stable
+across runs.
 """
 from __future__ import annotations
 
@@ -43,15 +44,12 @@ from .paths import (
     DomainError,
     PartitionSequence,
     PathFormatError,
+    _format,
     default_output_dir,
     load_sampled_path,
     write_path_csv,
 )
 from .qv import qv_converged, qv_matrix
-
-
-def _format(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _say(message: str) -> None:
@@ -156,9 +154,7 @@ def _cmd_integrate(args) -> int:
         raise ValueError("integrate needs a 'functional' entry in the config")
     m = 0 if a is None else a.m
     xi = AdmissibleIntegrand(build_functional(config.functional, x.d, m), a)
-    result = ito_integral(
-        xi, x, part, levels=config.levels, tol=config.tolerance, threads=config.threads
-    )
+    result = ito_integral(xi, x, part, levels=config.levels, tol=config.tolerance)
     with _open_output(_resolve_dest(args, config)) as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", "t", "I"])
@@ -180,9 +176,7 @@ def _cmd_ito_check(args) -> int:
         raise ValueError("ito-check needs a 'functional' entry in the config")
     m = 0 if a is None else a.m
     F = build_functional(config.functional, x.d, m)
-    rep = ito_formula_report(
-        F, x, a, part, levels=config.levels, tol=config.tolerance, threads=config.threads
-    )
+    rep = ito_formula_report(F, x, a, part, levels=config.levels, tol=config.tolerance)
     with _open_output(_resolve_dest(args, config)) as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -222,7 +216,6 @@ def _cmd_assoc_check(args) -> int:
         levels=config.levels,
         tol=config.tolerance,
         qv_gate_tol=config.qv_gate_tol,
-        threads=config.threads,
     )
     with _open_output(_resolve_dest(args, config)) as fh:
         writer = csv.writer(fh)

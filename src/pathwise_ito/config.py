@@ -24,7 +24,6 @@ Top-level schema::
       "levels": [6, 8, 10],                      # default: every level
       "tolerance": 1e-3,
       "qv_gate_tol": 0.05,
-      "threads": 1,
       "output": "results.csv"
     }
 
@@ -124,7 +123,6 @@ class ExperimentConfig:
     levels: tuple[int, ...] | None = None
     tolerance: float = 1e-3
     qv_gate_tol: float = 5e-2
-    threads: int = 1
     output: str | None = None
 
 
@@ -206,7 +204,6 @@ def parse_config(doc: Any) -> ExperimentConfig:
             "levels",
             "tolerance",
             "qv_gate_tol",
-            "threads",
             "output",
         },
         "experiment config",
@@ -217,9 +214,6 @@ def parse_config(doc: Any) -> ExperimentConfig:
     integrands = doc.get("integrands", [])
     if not isinstance(integrands, list):
         raise ValueError("'integrands' must be a list of functional specs")
-    threads = int(doc.get("threads", 1))
-    if threads < 1:
-        raise ValueError("'threads' must be a positive integer")
     return ExperimentConfig(
         source=_parse_source(doc["path"]),
         components=components,
@@ -229,7 +223,6 @@ def parse_config(doc: Any) -> ExperimentConfig:
         levels=_parse_levels(doc.get("levels")),
         tolerance=float(doc.get("tolerance", 1e-3)),
         qv_gate_tol=float(doc.get("qv_gate_tol", 5e-2)),
-        threads=threads,
         output=doc.get("output"),
     )
 

@@ -2,8 +2,8 @@
 
 Expressions are parsed once with sympy against a fixed set of variable
 names, checked for stray symbols, and compiled to numpy-vectorised
-callables.  Symbolic differentiation is exposed so config files can supply
-one formula and get consistent partials from it.
+callables.  Formulas are only evaluated, never differentiated: partial
+derivatives come from the config as separate formulas.
 
 sympy is imported lazily; nothing here runs unless an expression is
 actually used.
@@ -16,19 +16,12 @@ from typing import Callable
 import numpy as np
 
 
-def _sympy():
-    import sympy
-
-    return sympy
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledExpression:
     """One scalar formula over named variables, compiled for numpy arrays."""
 
     text: str
     variables: tuple[str, ...]
-    _expr: object = field(repr=False)
     _fn: Callable = field(repr=False)
 
     def __call__(self, *args) -> np.ndarray:
@@ -43,20 +36,6 @@ class CompiledExpression:
             out = np.broadcast_to(out, shape).copy()
         return out
 
-    def diff(self, variable: str) -> "CompiledExpression":
-        sympy = _sympy()
-        if variable not in self.variables:
-            raise ValueError(f"unknown variable {variable!r}")
-        d = sympy.diff(self._expr, sympy.Symbol(variable, real=True))
-        return _from_sympy(str(d), d, self.variables)
-
-
-def _from_sympy(text, expr, variables) -> CompiledExpression:
-    sympy = _sympy()
-    syms = [sympy.Symbol(v, real=True) for v in variables]
-    fn = sympy.lambdify(syms, expr, modules="numpy")
-    return CompiledExpression(text=text, variables=tuple(variables), _expr=expr, _fn=fn)
-
 
 def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpression:
     """Parse ``text`` over exactly the given variable names.
@@ -64,7 +43,7 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpress
     Any free symbol outside ``variables`` is rejected, so a typo in a config
     file fails at parse time instead of at evaluation time.
     """
-    sympy = _sympy()
+    import sympy
     from sympy.parsing.sympy_parser import parse_expr
 
     local = {v: sympy.Symbol(v, real=True) for v in variables}
@@ -79,7 +58,8 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpress
             f"expression {text!r} uses unknown names {sorted(stray)}; "
             f"allowed: {list(variables)}"
         )
-    return _from_sympy(text, expr, variables)
+    fn = sympy.lambdify([local[v] for v in variables], expr, modules="numpy")
+    return CompiledExpression(text=text, variables=tuple(variables), _fn=fn)
 
 
 def state_variables(d: int, m: int) -> tuple[str, ...]:

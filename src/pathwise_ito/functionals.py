@@ -514,7 +514,7 @@ class _ComposedPath:
     (one, for cylinder outers), so values are computed and memoised per
     requested time instead of materialising the whole grid.  Each evaluate
     call builds its own instance, so the cache is never shared across
-    threads or across different (X, A) pairs.
+    calls or across different (X, A) pairs.
     """
 
     __slots__ = ("times", "interpolation", "_x", "_a", "_inners", "_domain", "_cache", "_full")

@@ -18,7 +18,8 @@ quadratic-variation identity for vector integrals, the augmented-system
 construction that turns integral paths back into functional values, and the
 associativity verifier comparing integration against Y with integration
 against X under a composed integrand.  All sums run in a fixed order, so
-reports are bit-reproducible across runs and thread counts.
+reports are bit-reproducible from run to run.  A NaN or infinite term is
+never reported: it raises DomainError naming the term and the level.
 
 Derivative evaluations fall back to finite differences per functional; for
 large grids supply analytic derivatives, otherwise each of the N sample
@@ -34,10 +35,11 @@ import numpy as np
 from .functionals import Functional, compose
 from .paths import (
     BVPath,
-    GridError,
+    DomainError,
     LINEAR,
     PartitionSequence,
     SampledPath,
+    _grid_index,
     _pre_step_from_arrays,
     _require_same_grid,
     _stepped_values,
@@ -125,11 +127,7 @@ class IntegralResult:
 
     def at(self, t: float, level: int | None = None) -> float:
         row = -1 if level is None else self.levels.index(level)
-        scale = max(1.0, abs(float(self.times[-1])))
-        i = int(np.searchsorted(self.times, t - 1e-12 * scale))
-        if i >= self.times.shape[0] or abs(float(self.times[i]) - t) > 1e-12 * scale:
-            raise GridError(f"{t} is not a grid time")
-        return float(self.values[row, i])
+        return float(self.values[row, _grid_index(self.times, t)])
 
 
 def ito_integral(
@@ -138,7 +136,6 @@ def ito_integral(
     partition: PartitionSequence,
     levels: Sequence[int] | int | None = None,
     tol: float = 1e-3,
-    threads: int = 1,
     plain_riemann: bool = False,
 ) -> IntegralResult:
     """Level-n Riemann sums of xi against X for each requested level.
@@ -147,7 +144,8 @@ def ito_integral(
     pre-step approximations; that variant is a diagnostic for comparing
     the two summation conventions, not the integral this module defines.
     Convergence is a Cauchy check: the last cross-level difference must
-    stay below tol relative to the finest level's sup norm.
+    stay below tol relative to the finest level's sup norm.  A non-finite
+    cell term raises DomainError naming its level and grid time.
     """
     _require_same_grid(x, partition)
     if x.interpolation != LINEAR:
@@ -175,7 +173,12 @@ def ito_integral(
                 for j in range(lo, hi):
                     pre = _pre_step_from_arrays(x, stepped, int(idx[j]))
                     out[j] = float(np.dot(xi.xi(float(pts[j]), pre), dx[j]))
-        map_chunked(fill, terms, threads=threads)
+        map_chunked(fill, terms)
+        bad = np.flatnonzero(~np.isfinite(terms))
+        if bad.shape[0]:
+            raise DomainError(
+                f"non-finite ito term xi . dX at level {n}, grid time {float(pts[bad[0]])}"
+            )
         at_points = running_sum(terms)
         values[row] = np.interp(x.times, pts, at_points)
         values[row, idx] = at_points
@@ -208,30 +211,18 @@ def ito_integral(
 # Change-of-variables decomposition
 
 
-def _sampled_horizontal(F: Functional, x: SampledPath, a: BVPath | None) -> np.ndarray:
-    out = np.empty((x.n_points, F.m + 1))
-    for k, t in enumerate(x.times):
-        out[k] = F.horizontal(float(t), x, a)
-    return out
+def _sampled(method, x: SampledPath, a: BVPath | None) -> np.ndarray:
+    """``method(t, x, a)`` at every grid time of x, stacked along axis 0.
 
-
-def _sampled_vertical(F: Functional, x: SampledPath, a: BVPath | None) -> np.ndarray:
-    out = np.empty((x.n_points, F.d))
-    for k, t in enumerate(x.times):
-        out[k] = F.vertical(float(t), x, a)
-    return out
-
-
-def _sampled_vertical2(F: Functional, x: SampledPath, a: BVPath | None) -> np.ndarray:
-    out = np.empty((x.n_points, F.d, F.d))
-    for k, t in enumerate(x.times):
-        out[k] = F.vertical2(float(t), x, a)
-    return out
+    ``method`` is a bound Functional method: evaluate, vertical, vertical2
+    or horizontal.
+    """
+    return np.array([method(float(t), x, a) for t in x.times], dtype=np.float64)
 
 
 def _horizontal_path(F: Functional, x: SampledPath, a: BVPath | None, weights=None) -> np.ndarray:
     """Cumulative sum_i integral of D_i F dA_i including the clock dA_0."""
-    hv = _sampled_horizontal(F, x, a)
+    hv = _sampled(F.horizontal, x, a)
     if weights is not None:
         hv = hv * weights[:, None]
     measures = measures_with_clock(a if a is not None else BVPath.empty(x.times))
@@ -280,23 +271,27 @@ def ito_formula_report(
     levels: Sequence[int] | int | None = None,
     tol: float = 1e-3,
     qv_tol: float = 1e-2,
-    threads: int = 1,
 ) -> FormulaReport:
     """Evaluate all four terms of the decomposition and their residuals.
 
     QV convergence diagnostics ride along whenever the partition has the
     three levels the check needs; non-convergence is reported, not raised.
+    A non-finite term raises DomainError naming the term and the level.
     """
     lv = _level_list(partition, levels)
     T = float(x.times[-1])
     lhs = F.evaluate(T, x, a) - F.evaluate(0.0, x, a)
-    integral = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv, tol, threads)
+    integral = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv, tol)
     ito_at_T = integral.values[:, -1].copy()
     horiz = _horizontal_path(F, x, a)
-    v2 = _sampled_vertical2(F, x, a)
+    v2 = _sampled(F.vertical2, x, a)
     qv_at_T = np.empty(len(lv))
     for row, n in enumerate(lv):
         qv_at_T[row] = _qv_term_path(v2, qv_measures(x, partition, n))[-1]
+        terms = {"lhs": lhs, "ito": ito_at_T[row], "horizontal": horiz[-1], "qv": qv_at_T[row]}
+        for name, value in terms.items():
+            if not np.isfinite(value):
+                raise DomainError(f"non-finite {name} term ({value}) at level {n}")
     residuals = lhs - (ito_at_T + horiz[-1] + qv_at_T)
     qv_diffs = qv_ok = None
     if partition.num_levels >= 3:
@@ -327,7 +322,6 @@ def build_Y(
     x: SampledPath,
     partition: PartitionSequence,
     levels: Sequence[int] | int | None = None,
-    threads: int = 1,
 ) -> SampledPath:
     """Integral paths Y_l(t) = integral of xi_(l) dX as one continuous path.
 
@@ -336,9 +330,7 @@ def build_Y(
     xis = list(xis)
     if not xis:
         raise ValueError("need at least one integrand")
-    cols = [
-        ito_integral(xi, x, partition, levels, threads=threads).final for xi in xis
-    ]
+    cols = [ito_integral(xi, x, partition, levels).final for xi in xis]
     return SampledPath(x.times, np.column_stack(cols), LINEAR)
 
 
@@ -359,10 +351,7 @@ class QvIdentityReport:
 
 
 def _xi_samples(xis: Sequence[AdmissibleIntegrand], x: SampledPath) -> np.ndarray:
-    sam = np.empty((len(xis), x.n_points, x.d))
-    for row, xi in enumerate(xis):
-        sam[row] = _sampled_vertical(xi.functional, x, xi.bv)
-    return sam
+    return np.stack([_sampled(xi.functional.vertical, x, xi.bv) for xi in xis])
 
 
 def _weighted_qv_paths(
@@ -383,23 +372,12 @@ def _weighted_qv_paths(
     return out
 
 
-def qv_of_Y_check(
-    xis: Sequence[AdmissibleIntegrand],
-    x: SampledPath,
-    partition: PartitionSequence,
-    level: int,
-    threads: int = 1,
+def _qv_identity(
+    y: SampledPath, sam: np.ndarray, x: SampledPath, partition: PartitionSequence, level: int
 ) -> QvIdentityReport:
-    """Compare qv_matrix of the built Y against the weighted [X] integrals.
-
-    The weights sample each integrand along the true path X.  The identity
-    is the standing hypothesis of the associativity statement, so its
-    residual gates that check.
-    """
-    xis = list(xis)
-    y = build_Y(xis, x, partition, level, threads=threads)
+    """Compare qv_matrix of a given Y against [X] integrals weighted by sam."""
     direct = qv_matrix(y, partition, level)
-    weighted = _weighted_qv_paths(_xi_samples(xis, x), x, partition, level)
+    weighted = _weighted_qv_paths(sam, x, partition, level)
     residuals = np.max(np.abs(direct.matrices - weighted), axis=0)
     scale = max(float(np.max(np.abs(direct.final()))), _TINY)
     residuals.setflags(write=False)
@@ -410,6 +388,23 @@ def qv_of_Y_check(
         direct_final=direct.final(),
         weighted_final=weighted[-1],
     )
+
+
+def qv_of_Y_check(
+    xis: Sequence[AdmissibleIntegrand],
+    x: SampledPath,
+    partition: PartitionSequence,
+    level: int,
+) -> QvIdentityReport:
+    """Compare qv_matrix of the built Y against the weighted [X] integrals.
+
+    The weights sample each integrand along the true path X.  The identity
+    is the standing hypothesis of the associativity statement, so its
+    residual gates that check.
+    """
+    xis = list(xis)
+    y = build_Y(xis, x, partition, level)
+    return _qv_identity(y, _xi_samples(xis, x), x, partition, level)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +432,8 @@ class AugmentedSystem:
 
     def representation_path(self, x: SampledPath) -> SampledPath:
         """Y via the recentered functionals on the extended data."""
-        vals = np.empty((x.n_points, self.nu))
-        for k, t in enumerate(x.times):
-            for ell, F in enumerate(self.functionals):
-                vals[k, ell] = F.evaluate(float(t), x, self.bv)
-        return SampledPath(x.times, vals, LINEAR)
+        vals = [_sampled(F.evaluate, x, self.bv) for F in self.functionals]
+        return SampledPath(x.times, np.column_stack(vals), LINEAR)
 
 
 def _augmented_functional(F: Functional, ell: int, m: int, nu: int, c: float) -> Functional:
@@ -475,7 +467,6 @@ def augment(
     a: BVPath | None,
     partition: PartitionSequence,
     level: int,
-    threads: int = 1,
 ) -> AugmentedSystem:
     """Append the compensator components and recenter the functionals.
 
@@ -497,7 +488,7 @@ def augment(
     cols = np.empty((x.n_points, len(f_vec)))
     for ell, F in enumerate(f_vec):
         cols[:, ell] = _horizontal_path(F, x, a) + _qv_term_path(
-            _sampled_vertical2(F, x, a), measures
+            _sampled(F.vertical2, x, a), measures
         )
     base = a if a is not None else BVPath.empty(x.times)
     a_tilde = concat_components(base, BVPath(x.times, cols))
@@ -569,7 +560,6 @@ def associativity_check(
     levels: Sequence[int] | int | None = None,
     tol: float = 1e-3,
     qv_gate_tol: float = 5e-2,
-    threads: int = 1,
 ) -> AssocReport:
     """Integrating eta against Y versus the composed integrand against X.
 
@@ -585,7 +575,8 @@ def associativity_check(
     if eta.functional.d != len(xis):
         raise ValueError("eta must drive exactly one component per integrand")
     a = _shared_component_path(xis)
-    gate = qv_of_Y_check(xis, x, partition, finest, threads=threads)
+    y = build_Y(xis, x, partition, finest)
+    gate = _qv_identity(y, _xi_samples(xis, x), x, partition, finest)
     if gate.relative > qv_gate_tol:
         raise HypothesisError(
             "quadratic-variation identity for Y fails its gate: "
@@ -594,12 +585,11 @@ def associativity_check(
             residual=gate.relative,
             tol=qv_gate_tol,
         )
-    aug = augment([xi.functional for xi in xis], x, a, partition, finest, threads=threads)
-    y = build_Y(xis, x, partition, finest, threads=threads)
+    aug = augment([xi.functional for xi in xis], x, a, partition, finest)
     H = compose(eta.functional, aug.functionals)
     zeta = AdmissibleIntegrand(H, concat_components(aug.bv, eta.bv))
-    lhs = ito_integral(eta, y, partition, lv, tol, threads)
-    rhs = ito_integral(zeta, x, partition, lv, tol, threads)
+    lhs = ito_integral(eta, y, partition, lv, tol)
+    rhs = ito_integral(zeta, x, partition, lv, tol)
     lhs_T = lhs.values[:, -1].copy()
     rhs_T = rhs.values[:, -1].copy()
     residuals = np.abs(lhs_T - rhs_T)
@@ -650,7 +640,6 @@ def corollary_decomposition(
     levels: Sequence[int] | int | None = None,
     tol: float = 1e-3,
     qv_gate_tol: float = 5e-2,
-    threads: int = 1,
 ) -> CorollaryReport:
     """Integral of eta against Y(t) = F(t, X, A) via terms in X.
 
@@ -665,18 +654,9 @@ def corollary_decomposition(
     finest = lv[-1]
     if eta.functional.d != len(f_vec):
         raise ValueError("eta must drive exactly one component per functional")
-    yv = np.empty((x.n_points, len(f_vec)))
-    for k, t in enumerate(x.times):
-        for ell, F in enumerate(f_vec):
-            yv[k, ell] = F.evaluate(float(t), x, a)
-    y = SampledPath(x.times, yv, LINEAR)
-    sam = np.empty((len(f_vec), x.n_points, x.d))
-    for ell, F in enumerate(f_vec):
-        sam[ell] = _sampled_vertical(F, x, a)
-    direct = qv_matrix(y, partition, finest)
-    weighted = _weighted_qv_paths(sam, x, partition, finest)
-    scale = max(float(np.max(np.abs(direct.final()))), _TINY)
-    qv_relative = float(np.max(np.abs(direct.matrices - weighted)) / scale)
+    y = SampledPath(x.times, np.column_stack([_sampled(F.evaluate, x, a) for F in f_vec]), LINEAR)
+    sam = np.stack([_sampled(F.vertical, x, a) for F in f_vec])
+    qv_relative = _qv_identity(y, sam, x, partition, finest).relative
     if qv_relative > qv_gate_tol:
         raise HypothesisError(
             "quadratic-variation hypothesis for Y = F(., X, A) fails its gate: "
@@ -684,7 +664,7 @@ def corollary_decomposition(
             residual=qv_relative,
             tol=qv_gate_tol,
         )
-    eta_samples = _sampled_vertical(eta.functional, y, eta.bv)
+    eta_samples = _sampled(eta.functional.vertical, y, eta.bv)
     horiz = np.zeros(x.n_points)
     for ell, F in enumerate(f_vec):
         horiz += _horizontal_path(F, x, a, weights=eta_samples[:, ell])
@@ -692,10 +672,10 @@ def corollary_decomposition(
     zeta = AdmissibleIntegrand(
         H, concat_components(a if a is not None else BVPath.empty(x.times), eta.bv)
     )
-    lhs_T = ito_integral(eta, y, partition, lv, tol, threads).values[:, -1].copy()
-    ito_T = ito_integral(zeta, x, partition, lv, tol, threads).values[:, -1].copy()
+    lhs_T = ito_integral(eta, y, partition, lv, tol).values[:, -1].copy()
+    ito_T = ito_integral(zeta, x, partition, lv, tol).values[:, -1].copy()
     qv_T = np.empty(len(lv))
-    v2 = [_sampled_vertical2(F, x, a) for F in f_vec]
+    v2 = [_sampled(F.vertical2, x, a) for F in f_vec]
     for row, n in enumerate(lv):
         measures = qv_measures(x, partition, n)
         total = 0.0

@@ -5,8 +5,7 @@ Everything downstream works from one data model: a strictly increasing grid
 read either as a cadlag step function (the value is held from the left grid
 point, ``STEP``) or as the continuous piecewise-linear interpolant of its
 samples (``LINEAR``).  Containers are immutable; operations return new
-objects and never touch shared state, so they are safe to use from worker
-threads.
+objects and never touch shared state.
 
 The partition machinery thins the base grid dyadically: level ``n`` of an
 ``L``-level sequence keeps every ``2**(L-n)``-th grid point plus the final
@@ -77,6 +76,28 @@ def _check_domain(values: np.ndarray, domain: Domain | None) -> None:
     if not bool(np.all(ok)):
         idx = int(np.argmin(ok))
         raise DomainError(f"path value at grid index {idx} lies outside the domain")
+
+
+def _grid_match(times: np.ndarray, t: float) -> int | None:
+    """Index of the grid time within 1e-12 * max(1, T) of t, or None.
+
+    The one tolerance lookup behind every "is t a grid time" question;
+    among several matches the lowest index wins.
+    """
+    tol = _GRID_RTOL * max(1.0, abs(float(times[-1])))
+    i = int(np.searchsorted(times, t - tol))
+    for j in (i - 1, i, i + 1):
+        if 0 <= j < times.shape[0] and abs(times[j] - t) <= tol:
+            return j
+    return None
+
+
+def _grid_index(times: np.ndarray, t: float) -> int:
+    """Like :func:`_grid_match`, but a time off the grid raises GridError."""
+    j = _grid_match(times, t)
+    if j is None:
+        raise GridError(f"time {t} is not a grid point")
+    return j
 
 
 def _validate_grid(times: np.ndarray) -> np.ndarray:
@@ -194,13 +215,7 @@ class SampledPath:
 
     def grid_index(self, t: float) -> int:
         """Index of grid time t; raises GridError if t is not on the grid."""
-        t = float(t)
-        i = self._locate(t)
-        scale = max(1.0, abs(self.times[-1]))
-        for j in (i, min(i + 1, self.n_points - 1)):
-            if abs(self.times[j] - t) <= _GRID_RTOL * scale:
-                return j
-        raise GridError(f"time {t} is not a grid point")
+        return _grid_index(self.times, float(t))
 
     def component(self, i: int) -> np.ndarray:
         return self.values[:, i]
@@ -262,16 +277,6 @@ def concat_components(a: BVPath, b: BVPath | None) -> BVPath:
         return b
     _require_same_grid(a, b)
     vals = np.ascontiguousarray(np.hstack([a.values, b.values]))
-    return BVPath._trusted(a.times, vals, LINEAR, None)
-
-
-def append_components(a: BVPath, new_values: np.ndarray) -> BVPath:
-    new_values = np.asarray(new_values, dtype=np.float64)
-    if new_values.ndim == 1:
-        new_values = new_values[:, None]
-    if new_values.shape[0] != a.n_points:
-        raise GridError("new components must live on the same grid")
-    vals = np.ascontiguousarray(np.hstack([a.values, new_values]))
     return BVPath._trusted(a.times, vals, LINEAR, None)
 
 
@@ -337,13 +342,7 @@ class PartitionSequence:
         return float(np.max(np.diff(self.points(level))))
 
     def contains(self, level: int, t: float) -> bool:
-        pts = self.points(level)
-        i = int(np.searchsorted(pts, t))
-        scale = max(1.0, abs(self.times[-1]))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < pts.shape[0] and abs(pts[j] - t) <= _GRID_RTOL * scale:
-                return True
-        return False
+        return _grid_match(self.points(level), t) is not None
 
     def successor(self, level: int, t: float) -> float:
         """Next partition point strictly after t; T maps to itself."""

@@ -1,48 +1,22 @@
-"""Deterministic chunked evaluation helpers.
+"""Fixed-order evaluation and summation helpers.
 
-Per-level sums are assembled from per-cell terms.  Term evaluation may be
-spread over a thread pool, but chunk boundaries depend only on a fixed chunk
-size and partial results are written back by index, so the assembled term
-array (and every reduction of it) is bit-identical for any thread count.
+Per-level sums are assembled from per-cell terms filled in grid order and
+reduced left to right, so every sum is bit-identical from run to run.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
 
-DEFAULT_CHUNK = 2048
 
+def map_chunked(fill: Callable[[int, int, np.ndarray], None], out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` along its first axis with one call ``fill(0, n, out)``.
 
-def chunk_bounds(n: int, chunk: int = DEFAULT_CHUNK) -> list[tuple[int, int]]:
-    """Split range(n) into contiguous [lo, hi) chunks of a fixed size."""
-    if n <= 0:
-        return []
-    chunk = max(1, int(chunk))
-    return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-
-
-def map_chunked(
-    fill: Callable[[int, int, np.ndarray], None],
-    out: np.ndarray,
-    threads: int = 1,
-    chunk: int = DEFAULT_CHUNK,
-) -> np.ndarray:
-    """Fill ``out`` along its first axis by calling ``fill(lo, hi, out)``.
-
-    ``fill`` must write only rows [lo, hi) of ``out``.  With threads > 1 the
-    chunks run on a thread pool; the output does not depend on scheduling.
+    Kept only as the named stage around the per-cell fill loop, which
+    benchmark traces time; it can go once per-cell evaluation is batched.
     """
-    bounds = chunk_bounds(out.shape[0], chunk)
-    if threads <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            fill(lo, hi, out)
-        return out
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        futures = [pool.submit(fill, lo, hi, out) for lo, hi in bounds]
-        for fut in futures:
-            fut.result()
+    fill(0, out.shape[0], out)
     return out
 
 

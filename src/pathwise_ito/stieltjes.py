@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import BVPath, GridError, SampledPath, _validate_grid
+from .paths import BVPath, GridError, SampledPath, _grid_index, _validate_grid
 from .reduction import running_sum
 
 
@@ -86,17 +86,7 @@ def stieltjes_integral(f, mu: StieltjesMeasure, t: float | None = None) -> float
     cum = cumulative_stieltjes(f, mu)
     if t is None:
         return float(cum[-1])
-    k = _grid_index(mu.times, t)
-    return float(cum[k])
-
-
-def _grid_index(times: np.ndarray, t: float) -> int:
-    i = int(np.searchsorted(times, t, side="right")) - 1
-    scale = max(1.0, abs(float(times[-1])))
-    for j in (i, min(i + 1, times.shape[0] - 1)):
-        if 0 <= j < times.shape[0] and abs(times[j] - t) <= 1e-12 * scale:
-            return j
-    raise GridError(f"upper limit {t} is not a grid point")
+    return float(cum[_grid_index(mu.times, t)])
 
 
 @dataclass(frozen=True, eq=False)

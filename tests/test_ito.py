@@ -24,6 +24,7 @@ from pathwise_ito.paths import (
     STEP,
     Box,
     BVPath,
+    DomainError,
     GridError,
     PartitionSequence,
     SampledPath,
@@ -285,6 +286,35 @@ def test_formula_report_with_clock_term():
     assert errs[-1] < 2e-3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_formula_report_rejects_a_non_finite_term():
+    x, part = _brownian(exponent=6)
+    bad_hess = cylinder(
+        lambda t, xv, av: xv[0] ** 2,
+        d=1,
+        grad=lambda t, xv, av: np.array([2.0 * xv[0]]),
+        hess=lambda t, xv, av: np.array([[np.inf]]),
+        dt=lambda t, xv, av: 0.0,
+        name="inf-hess",
+    )
+    with pytest.raises(DomainError, match=r"non-finite qv term .* at level 4"):
+        ito_formula_report(bad_hess, x, None, part, levels=(4, 6))
+
+
+def test_integral_rejects_a_non_finite_cell_term():
+    x, part = _brownian(exponent=6)
+    blows_up_late = AdmissibleIntegrand(
+        Functional(
+            lambda t, x, a: 0.0,
+            d=1,
+            vertical=lambda t, x, a: np.array([np.nan if t >= 0.5 else 1.0]),
+            name="nan-late",
+        )
+    )
+    with pytest.raises(DomainError, match=r"level 3, grid time 0\.5$"):
+        ito_integral(blows_up_late, x, part, levels=(3, 6))
+
+
 # ---------------------------------------------------------------------------
 # vector integrals and the quadratic variation of Y
 
@@ -423,6 +453,15 @@ def test_associativity_gate_rejects_look_ahead():
     assert "gate" in str(err.value)
     assert err.value.residual > 0.05
     assert err.value.tol == 0.05
+
+
+def test_associativity_gate_is_qv_of_Y_check_at_the_finest_level():
+    x, part = _brownian(exponent=8)
+    eta = AdmissibleIntegrand(coordinate(0))
+    rep = associativity_check(eta, [_two_x()], x, part, levels=(6, 8))
+    alone = qv_of_Y_check([_two_x()], x, part, level=8)
+    assert rep.qv_report.relative == alone.relative
+    assert np.array_equal(rep.qv_report.residuals, alone.residuals)
 
 
 def test_associativity_gate_tolerance_is_adjustable():

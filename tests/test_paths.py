@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathwise_ito.ito import IntegralResult
 from pathwise_ito.paths import (
     BVPath,
     Box,
@@ -28,6 +29,7 @@ from pathwise_ito.paths import (
     sup_distance,
     write_path_csv,
 )
+from pathwise_ito.stieltjes import StieltjesMeasure, stieltjes_integral
 
 
 def _grid(n, T=1.0):
@@ -105,6 +107,63 @@ def test_grid_index_lookup():
     assert p.grid_index(1.0) == 8
     with pytest.raises(GridError):
         p.grid_index(0.3)
+
+
+@st.composite
+def _grid_and_time(draw):
+    """A strictly increasing grid from 0 and a time on it, off it, or in the
+    +-1e-12 * max(1, T) band around 0, T or an interior grid time."""
+    gaps = draw(st.lists(st.floats(1e-13, 10.0), min_size=1, max_size=12))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    times = times[np.concatenate([[True], np.diff(times) > 0.0])]
+    if times.shape[0] < 2:
+        times = np.array([0.0, 1.0])
+    tol = 1e-12 * max(1.0, float(times[-1]))
+    kind = draw(st.sampled_from(["on", "off", "band"]))
+    k = draw(st.sampled_from([0, times.shape[0] - 1, times.shape[0] // 2]))
+    if kind == "on":
+        t = float(times[draw(st.integers(0, times.shape[0] - 1))])
+    elif kind == "off":
+        T = float(times[-1])
+        t = draw(st.floats(-T, 2.0 * T, allow_nan=False))
+    else:
+        t = float(times[k]) + draw(st.floats(-2.0, 2.0)) * tol
+    return times, t, tol
+
+
+@settings(max_examples=300)
+@given(_grid_and_time())
+def test_grid_lookups_agree_with_brute_force(case):
+    times, t, tol = case
+    hits = np.flatnonzero(np.abs(times - t) <= tol)
+    n = times.shape[0]
+    path = SampledPath(times, np.zeros(n))
+    mu = StieltjesMeasure(times, np.ones(n - 1))  # cumulative integral of 1 is k
+    res = IntegralResult(
+        times=path.times,
+        levels=(1,),
+        values=np.arange(n, dtype=np.float64)[None, :],
+        interpolated=np.zeros((1, n), dtype=bool),
+        cauchy_diffs=np.zeros(0),
+        converged=None,
+        tol=1e-3,
+        plain_riemann=False,
+    )
+    lookups = (
+        lambda: path.grid_index(t),
+        lambda: stieltjes_integral(np.ones(n), mu, t),
+        lambda: res.at(t),
+    )
+    for lookup in lookups:
+        if hits.shape[0]:
+            assert lookup() == hits[0]
+        else:
+            with pytest.raises(GridError):
+                lookup()
+    part = PartitionSequence(times, num_levels=2)
+    for level in (1, 2):
+        pts = part.points(level)
+        assert part.contains(level, t) == bool(np.any(np.abs(pts - t) <= tol))
 
 
 def test_box_domain_is_strictly_open():
