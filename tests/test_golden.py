@@ -21,6 +21,8 @@ CASES = {
     "qv_d2.csv": ["qv", "-i", str(GOLDEN / "gen_d2.csv")],
     "integrate_d1.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d1.json")],
     "ito_check_d1.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d1.json")],
+    "integrate_d3.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d3.json")],
+    "ito_check_d3.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d3.json")],
     "assoc_check_d2.csv": ["assoc-check", "-c", str(GOLDEN / "assoc_d2.json")],
 }
 
