@@ -53,9 +53,9 @@ import numpy as np
 from .expressions import compile_expression, state_variables
 from .functionals import (
     Functional,
+    _formula_cylinder,
     compose,
     coordinate,
-    cylinder,
     product,
     quadratic_variation_path,
     running_max_path,
@@ -288,29 +288,6 @@ def build_components(
     return out
 
 
-def _scalar(fn, d: int, m: int):
-    def call(t, xv, av):
-        return float(fn(t, *xv[:d], *av[:m]))
-
-    return call
-
-
-def _vector(fns, d: int, m: int):
-    def call(t, xv, av):
-        return np.array([float(f(t, *xv[:d], *av[:m])) for f in fns])
-
-    return call
-
-
-def _matrix(rows, d: int, m: int):
-    def call(t, xv, av):
-        return np.array(
-            [[float(f(t, *xv[:d], *av[:m])) for f in row] for row in rows]
-        )
-
-    return call
-
-
 def _build_cylinder(doc: dict, d: int, m: int) -> Functional:
     _check_keys(
         doc, {"f", "grad", "hess", "dt", "da", "positive", "name"}, "cylinder spec"
@@ -324,25 +301,22 @@ def _build_cylinder(doc: dict, d: int, m: int) -> Functional:
 
     grad = hess = dt = da = None
     if doc.get("grad") is not None:
-        entries = [comp(g) for g in doc["grad"]]
-        if len(entries) != d:
+        grad = [comp(g) for g in doc["grad"]]
+        if len(grad) != d:
             raise ValueError(f"'grad' needs {d} formulas")
-        grad = _vector(entries, d, m)
     if doc.get("hess") is not None:
-        rows = [[comp(h) for h in row] for row in doc["hess"]]
-        if len(rows) != d or any(len(r) != d for r in rows):
+        hess = [[comp(h) for h in row] for row in doc["hess"]]
+        if len(hess) != d or any(len(r) != d for r in hess):
             raise ValueError(f"'hess' needs a {d}x{d} table of formulas")
-        hess = _matrix(rows, d, m)
     if doc.get("dt") is not None:
-        dt = _scalar(comp(doc["dt"]), d, m)
+        dt = comp(doc["dt"])
     if doc.get("da") is not None:
-        entries = [comp(g) for g in doc["da"]]
-        if len(entries) != m:
+        da = [comp(g) for g in doc["da"]]
+        if len(da) != m:
             raise ValueError(f"'da' needs {m} formulas")
-        da = _vector(entries, d, m)
     domain = positive_orthant(d) if doc.get("positive") else None
-    return cylinder(
-        _scalar(comp(doc["f"]), d, m),
+    return _formula_cylinder(
+        comp(doc["f"]),
         d=d,
         m=m,
         grad=grad,

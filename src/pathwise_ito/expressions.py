@@ -2,7 +2,8 @@
 
 Expressions are parsed once with sympy against a fixed set of variable
 names, checked for stray symbols, and compiled to numpy-vectorised
-callables.  Formulas are only evaluated, never differentiated: partial
+callables that map equal-shape arrays elementwise, so one call covers a
+whole grid.  Formulas are only evaluated, never differentiated: partial
 derivatives come from the config as separate formulas.
 
 sympy is imported lazily; nothing here runs unless an expression is
@@ -31,7 +32,10 @@ class CompiledExpression:
             )
         args = [np.asarray(a, dtype=np.float64) for a in args]
         shape = np.broadcast_shapes(*(a.shape for a in args))
-        out = np.asarray(self._fn(*args), dtype=np.float64)
+        # A domain failure (log(0), 1/0) yields inf or nan without a numpy
+        # warning; callers check finiteness and name the failing term.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = np.asarray(self._fn(*args), dtype=np.float64)
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out

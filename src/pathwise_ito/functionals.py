@@ -21,6 +21,10 @@ construction) or approximated by finite differences:
 The product and compose combinators push all three notions through the
 standard rules, delegating to whatever the parts provide, so analytic and
 finite-difference functionals mix freely.
+
+A cylinder reads only the state (t, X(t), A(t)), so each of its analytic
+slots also has a form on stacked grid states; :func:`_state_slot` runs it
+on a whole grid at once, without building a stopped path per time.
 """
 from __future__ import annotations
 
@@ -79,6 +83,7 @@ class Functional:
         "_vertical2",
         "_horizontal",
         "_alt_m",
+        "_on_states",
     )
 
     def __init__(
@@ -105,6 +110,10 @@ class Functional:
         # A composed functional with a bound outer component path also
         # accepts just the inner components and appends the bound ones.
         self._alt_m: int | None = None
+        # Slot name -> callable on stacked states (t, X, A) with shapes
+        # (n,), (n, d), (n, m), for functionals that read only the state
+        # at t; see _state_slot.
+        self._on_states: dict[str, Callable] = {}
 
     def _check_args(self, x, a) -> None:
         if x.d != self.d:
@@ -113,6 +122,18 @@ class Functional:
         if got != self.m and got != self._alt_m:
             raise ValueError(f"{self.name}: got {got} extra components, wants {self.m}")
 
+    def _checked(self, slot: str, value):
+        """A slot's raw value as a float or an array of the slot's shape."""
+        if slot == "evaluate":
+            return float(value)
+        if slot == "vertical2":
+            out = np.asarray(value, dtype=np.float64)
+            if out.shape != (self.d, self.d):
+                raise ValueError(f"{self.name}: second vertical must be ({self.d}, {self.d})")
+            return out
+        n = self.d if slot == "vertical" else self.m + 1
+        return _as_vector(value, n, self.name)
+
     def evaluate(self, t: float, x, a=None) -> float:
         self._check_args(x, a)
         return float(self._evaluate(t, x, a))
@@ -120,22 +141,19 @@ class Functional:
     def vertical(self, t: float, x, a=None) -> np.ndarray:
         self._check_args(x, a)
         if self._vertical is not None:
-            return _as_vector(self._vertical(t, x, a), self.d, self.name)
+            return self._checked("vertical", self._vertical(t, x, a))
         return fd_vertical(self, t, x, a)
 
     def vertical2(self, t: float, x, a=None) -> np.ndarray:
         self._check_args(x, a)
         if self._vertical2 is not None:
-            out = np.asarray(self._vertical2(t, x, a), dtype=np.float64)
-            if out.shape != (self.d, self.d):
-                raise ValueError(f"{self.name}: second vertical must be ({self.d}, {self.d})")
-            return out
+            return self._checked("vertical2", self._vertical2(t, x, a))
         return fd_vertical2(self, t, x, a)
 
     def horizontal(self, t: float, x, a=None) -> np.ndarray:
         self._check_args(x, a)
         if self._horizontal is not None:
-            return _as_vector(self._horizontal(t, x, a), self.m + 1, self.name)
+            return self._checked("horizontal", self._horizontal(t, x, a))
         return fd_horizontal(self, t, x, a)
 
     @property
@@ -156,6 +174,28 @@ def _as_vector(v, n: int, name: str) -> np.ndarray:
     if out.shape != (n,):
         raise ValueError(f"{name}: derivative must have {n} entries")
     return out
+
+
+def _state_slot(F: Functional, slot: str, x, a=None, rows=None) -> np.ndarray | None:
+    """F's ``slot`` at grid rows of x, stacked along axis 0, from states alone.
+
+    ``slot`` is evaluate, vertical, vertical2 or horizontal; ``rows`` are
+    grid indices (every grid time when None).  At a grid time a path's
+    value is its sample there, so a state-only F needs no stopped or
+    pre-step path.  Returns None when F has no state form for the slot (a
+    general functional, or a finite-difference fallback) or when ``a``
+    lives on another grid; the caller then evaluates point by point.
+    """
+    fn = F._on_states.get(slot)
+    if fn is None:
+        return None
+    if a is not None and a.times is not x.times and not np.array_equal(a.times, x.times):
+        return None
+    F._check_args(x, a)
+    sel = slice(None) if rows is None else rows
+    t = x.times[sel]
+    A = a.values[sel] if a is not None else np.zeros((t.shape[0], 0))
+    return fn(t, x.values[sel], A)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +386,43 @@ def bv_coordinate(k: int = 0, m: int = 1, d: int = 1) -> Functional:
     )
 
 
+def _state_at(t: float, x, a) -> tuple[np.ndarray, np.ndarray]:
+    xv = np.atleast_1d(np.asarray(x.value(t), dtype=np.float64))
+    av = (
+        np.atleast_1d(np.asarray(a.value(t), dtype=np.float64))
+        if a is not None
+        else np.zeros(0)
+    )
+    return xv, av
+
+
+def _state_functional(point: dict, states: dict, d, m, x_domain, name) -> Functional:
+    """A Functional reading only (t, X(t), A(t)).
+
+    ``point`` maps each supplied slot to a callable (t, xv, av) on one
+    state; ``states`` maps the same slots to callables on stacked states
+    (see :func:`_state_slot`).  ``evaluate`` is required.
+    """
+
+    def at_state(fn):
+        if fn is None:
+            return None
+        return lambda t, x, a: fn(t, *_state_at(t, x, a))
+
+    F = Functional(
+        evaluate=at_state(point["evaluate"]),
+        d=d,
+        m=m,
+        vertical=at_state(point.get("vertical")),
+        vertical2=at_state(point.get("vertical2")),
+        horizontal=at_state(point.get("horizontal")),
+        x_domain=x_domain,
+        name=name,
+    )
+    F._on_states = states
+    return F
+
+
 def cylinder(
     f: Callable,
     d: int = 1,
@@ -365,44 +442,76 @@ def cylinder(
     x-gradient, second vertical the x-Hessian, D_0 the t-partial and D_k
     the a_k-partial (the frozen path contributes nothing else).  ``da`` is
     required together with ``dt`` to form an analytic horizontal.
+
+    Because F reads only the state at t, integrals and sampled derivatives
+    call each supplied partial once per grid time on the state there, in
+    O(N) per pass, never on a rebuilt stopped or pre-step path.  Omitted
+    partials fall back to finite differences on the path.
     """
-
-    def _state(t, x, a):
-        xv = np.atleast_1d(np.asarray(x.value(t), dtype=np.float64))
-        av = (
-            np.atleast_1d(np.asarray(a.value(t), dtype=np.float64))
-            if a is not None
-            else np.zeros(0)
-        )
-        return xv, av
-
-    def _eval(t, x, a):
-        xv, av = _state(t, x, a)
-        return f(t, xv, av)
-
-    vertical = None
-    if grad is not None:
-        vertical = lambda t, x, a: grad(t, *_state(t, x, a))
-    vertical2 = None
-    if hess is not None:
-        vertical2 = lambda t, x, a: hess(t, *_state(t, x, a))
     horizontal = None
     if dt is not None and (m == 0 or da is not None):
-        def horizontal(t, x, a):
-            xv, av = _state(t, x, a)
-            head = [dt(t, xv, av)]
+        def horizontal(t, xv, av):
             tail = np.atleast_1d(da(t, xv, av)) if m else np.zeros(0)
-            return np.concatenate([head, tail])
-    return Functional(
-        evaluate=_eval,
-        d=d,
-        m=m,
-        vertical=vertical,
-        vertical2=vertical2,
-        horizontal=horizontal,
-        x_domain=x_domain,
-        name=name,
-    )
+            return np.concatenate([[dt(t, xv, av)], tail])
+
+    point = {"evaluate": f, "vertical": grad, "vertical2": hess, "horizontal": horizontal}
+    point = {slot: fn for slot, fn in point.items() if fn is not None}
+
+    def row_loop(slot, fn):
+        def call(t, X, A):
+            return np.array(
+                [F._checked(slot, fn(float(t[k]), X[k], A[k])) for k in range(t.shape[0])],
+                dtype=np.float64,
+            )
+
+        return call
+
+    states = {slot: row_loop(slot, fn) for slot, fn in point.items()}
+    F = _state_functional(point, states, d, m, x_domain, name)
+    return F
+
+
+def _formula_cylinder(
+    f: Callable,
+    d: int,
+    m: int,
+    grad: Sequence[Callable] | None = None,
+    hess: Sequence[Sequence[Callable]] | None = None,
+    dt: Callable | None = None,
+    da: Sequence[Callable] | None = None,
+    x_domain: Domain | None = None,
+    name: str = "cylinder",
+) -> Functional:
+    """:func:`cylinder` from elementwise formulas over (t, x1..xd, a1..am).
+
+    Each formula maps equal-shape float arrays to an array of that shape
+    (a :class:`~pathwise_ito.expressions.CompiledExpression`); ``grad`` and
+    ``da`` list one formula per entry and ``hess`` one row of d per x
+    component.  A grid pass calls each formula once on the stacked states;
+    a call at one time runs the same formulas on one-row arrays, so both
+    give the same bits.
+    """
+
+    def scalar(fn):
+        return lambda t, X, A: fn(t, *X.T, *A.T)
+
+    def columns(fns):
+        return lambda t, X, A: np.stack([fn(t, *X.T, *A.T) for fn in fns], axis=-1)
+
+    states = {"evaluate": scalar(f)}
+    if grad is not None:
+        states["vertical"] = columns(grad)
+    if hess is not None:
+        rows = [columns(row) for row in hess]
+        states["vertical2"] = lambda t, X, A: np.stack([r(t, X, A) for r in rows], axis=1)
+    if dt is not None and (m == 0 or da is not None):
+        states["horizontal"] = columns([dt, *(da or ())])
+
+    def one_row(fn):
+        return lambda t, xv, av: fn(np.array([t], dtype=np.float64), xv[None, :], av[None, :])[0]
+
+    point = {slot: one_row(fn) for slot, fn in states.items()}
+    return _state_functional(point, states, d, m, x_domain, name)
 
 
 def constant_functional(c: float, d: int = 1, m: int = 0) -> Functional:

@@ -21,9 +21,15 @@ against X under a composed integrand.  All sums run in a fixed order, so
 reports are bit-reproducible from run to run.  A NaN or infinite term is
 never reported: it raises DomainError naming the term and the level.
 
-Derivative evaluations fall back to finite differences per functional; for
-large grids supply analytic derivatives, otherwise each of the N sample
-evaluations costs another O(N) path rebuild.
+Cost.  A cylinder F(t, X, A) = f(t, X(t), A(t)) reads only the state at
+t, and at a partition point s the pre-step path's state is exactly
+(s, X(s), A(s)).  So each analytic slot of a cylinder is evaluated once
+on the grid's (times, X, A) arrays, and a level gathers its left
+partition rows and multiplies them with dX: O(N) per level, the same
+bits as the per-cell sum.  Every other functional (products, compositions,
+the recentered functionals of an augmented system, and any slot that
+falls back to finite differences) is evaluated cell by cell on a rebuilt
+pre-step path, and sampled point by point, at O(N) per cell or point.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import Functional, compose
+from .functionals import Functional, _state_slot, compose
 from .paths import (
     BVPath,
     DomainError,
@@ -130,6 +136,19 @@ class IntegralResult:
         return float(self.values[row, _grid_index(self.times, t)])
 
 
+def _cell_products(xi: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Row-wise xi . dX, bit for bit what np.dot gives on each pair of rows.
+
+    For d = 1 the plain product keeps np.dot's sign of a zero term (vecdot
+    and einsum turn -0.0 into +0.0); for d > 1 the stacked matmul runs the
+    same dot kernel per row, which einsum and a left-to-right sum do not.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if xi.shape[1] == 1:
+            return xi[:, 0] * dx[:, 0]
+        return np.matmul(xi[:, None, :], dx[:, :, None])[:, 0, 0]
+
+
 def ito_integral(
     xi: AdmissibleIntegrand,
     x: SampledPath,
@@ -158,22 +177,34 @@ def ito_integral(
     n_pts = x.n_points
     values = np.empty((len(lv), n_pts))
     interp = np.zeros((len(lv), n_pts), dtype=bool)
+    # A state-only integrand is evaluated once at the left partition points
+    # of every level, and identically for both conventions.
+    is_left = np.zeros(n_pts, dtype=bool)
+    for n in lv:
+        is_left[partition.indices(n)[:-1]] = True
+    lefts = np.flatnonzero(is_left)
+    at_lefts = _state_slot(xi.functional, "vertical", x, xi.bv, lefts)
+    if at_lefts is not None:
+        xi_grid = np.empty((n_pts, x.d))
+        xi_grid[lefts] = at_lefts
     for row, n in enumerate(lv):
         idx = partition.indices(n)
         pts = x.times[idx]
         dx = x.values[idx[1:]] - x.values[idx[:-1]]
-        terms = np.empty(idx.shape[0] - 1)
-        if plain_riemann:
-            def fill(lo, hi, out):
-                for j in range(lo, hi):
-                    out[j] = float(np.dot(xi.xi(float(pts[j]), x), dx[j]))
+        if at_lefts is not None:
+            terms = _cell_products(xi_grid[idx[:-1]], dx)
         else:
-            stepped = _stepped_values(x, partition, n)
-            def fill(lo, hi, out):
-                for j in range(lo, hi):
-                    pre = _pre_step_from_arrays(x, stepped, int(idx[j]))
-                    out[j] = float(np.dot(xi.xi(float(pts[j]), pre), dx[j]))
-        map_chunked(fill, terms)
+            if plain_riemann:
+                def fill(lo, hi, out):
+                    for j in range(lo, hi):
+                        out[j] = float(np.dot(xi.xi(float(pts[j]), x), dx[j]))
+            else:
+                stepped = _stepped_values(x, partition, n)
+                def fill(lo, hi, out):
+                    for j in range(lo, hi):
+                        pre = _pre_step_from_arrays(x, stepped, int(idx[j]))
+                        out[j] = float(np.dot(xi.xi(float(pts[j]), pre), dx[j]))
+            terms = map_chunked(fill, np.empty(idx.shape[0] - 1))
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.shape[0]:
             raise DomainError(
@@ -211,18 +242,23 @@ def ito_integral(
 # Change-of-variables decomposition
 
 
-def _sampled(method, x: SampledPath, a: BVPath | None) -> np.ndarray:
-    """``method(t, x, a)`` at every grid time of x, stacked along axis 0.
+def _sampled(F: Functional, slot: str, x: SampledPath, a: BVPath | None) -> np.ndarray:
+    """F's ``slot`` at every grid time of x, stacked along axis 0.
 
-    ``method`` is a bound Functional method: evaluate, vertical, vertical2
-    or horizontal.
+    ``slot`` is evaluate, vertical, vertical2 or horizontal.  A state-only
+    functional runs once on the grid's state arrays; any other is called
+    point by point.
     """
-    return np.array([method(float(t), x, a) for t in x.times], dtype=np.float64)
+    out = _state_slot(F, slot, x, a)
+    if out is None:
+        method = getattr(F, slot)
+        out = np.array([method(float(t), x, a) for t in x.times], dtype=np.float64)
+    return out
 
 
 def _horizontal_path(F: Functional, x: SampledPath, a: BVPath | None, weights=None) -> np.ndarray:
     """Cumulative sum_i integral of D_i F dA_i including the clock dA_0."""
-    hv = _sampled(F.horizontal, x, a)
+    hv = _sampled(F, "horizontal", x, a)
     if weights is not None:
         hv = hv * weights[:, None]
     measures = measures_with_clock(a if a is not None else BVPath.empty(x.times))
@@ -284,7 +320,7 @@ def ito_formula_report(
     integral = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv, tol)
     ito_at_T = integral.values[:, -1].copy()
     horiz = _horizontal_path(F, x, a)
-    v2 = _sampled(F.vertical2, x, a)
+    v2 = _sampled(F, "vertical2", x, a)
     qv_at_T = np.empty(len(lv))
     for row, n in enumerate(lv):
         qv_at_T[row] = _qv_term_path(v2, qv_measures(x, partition, n))[-1]
@@ -351,7 +387,7 @@ class QvIdentityReport:
 
 
 def _xi_samples(xis: Sequence[AdmissibleIntegrand], x: SampledPath) -> np.ndarray:
-    return np.stack([_sampled(xi.functional.vertical, x, xi.bv) for xi in xis])
+    return np.stack([_sampled(xi.functional, "vertical", x, xi.bv) for xi in xis])
 
 
 def _weighted_qv_paths(
@@ -432,7 +468,7 @@ class AugmentedSystem:
 
     def representation_path(self, x: SampledPath) -> SampledPath:
         """Y via the recentered functionals on the extended data."""
-        vals = [_sampled(F.evaluate, x, self.bv) for F in self.functionals]
+        vals = [_sampled(F, "evaluate", x, self.bv) for F in self.functionals]
         return SampledPath(x.times, np.column_stack(vals), LINEAR)
 
 
@@ -488,7 +524,7 @@ def augment(
     cols = np.empty((x.n_points, len(f_vec)))
     for ell, F in enumerate(f_vec):
         cols[:, ell] = _horizontal_path(F, x, a) + _qv_term_path(
-            _sampled(F.vertical2, x, a), measures
+            _sampled(F, "vertical2", x, a), measures
         )
     base = a if a is not None else BVPath.empty(x.times)
     a_tilde = concat_components(base, BVPath(x.times, cols))
@@ -654,8 +690,8 @@ def corollary_decomposition(
     finest = lv[-1]
     if eta.functional.d != len(f_vec):
         raise ValueError("eta must drive exactly one component per functional")
-    y = SampledPath(x.times, np.column_stack([_sampled(F.evaluate, x, a) for F in f_vec]), LINEAR)
-    sam = np.stack([_sampled(F.vertical, x, a) for F in f_vec])
+    y = SampledPath(x.times, np.column_stack([_sampled(F, "evaluate", x, a) for F in f_vec]), LINEAR)
+    sam = np.stack([_sampled(F, "vertical", x, a) for F in f_vec])
     qv_relative = _qv_identity(y, sam, x, partition, finest).relative
     if qv_relative > qv_gate_tol:
         raise HypothesisError(
@@ -664,7 +700,7 @@ def corollary_decomposition(
             residual=qv_relative,
             tol=qv_gate_tol,
         )
-    eta_samples = _sampled(eta.functional.vertical, y, eta.bv)
+    eta_samples = _sampled(eta.functional, "vertical", y, eta.bv)
     horiz = np.zeros(x.n_points)
     for ell, F in enumerate(f_vec):
         horiz += _horizontal_path(F, x, a, weights=eta_samples[:, ell])
@@ -675,7 +711,7 @@ def corollary_decomposition(
     lhs_T = ito_integral(eta, y, partition, lv, tol).values[:, -1].copy()
     ito_T = ito_integral(zeta, x, partition, lv, tol).values[:, -1].copy()
     qv_T = np.empty(len(lv))
-    v2 = [_sampled(F.vertical2, x, a) for F in f_vec]
+    v2 = [_sampled(F, "vertical2", x, a) for F in f_vec]
     for row, n in enumerate(lv):
         measures = qv_measures(x, partition, n)
         total = 0.0

@@ -13,8 +13,9 @@ import numpy as np
 def map_chunked(fill: Callable[[int, int, np.ndarray], None], out: np.ndarray) -> np.ndarray:
     """Fill ``out`` along its first axis with one call ``fill(0, n, out)``.
 
-    Kept only as the named stage around the per-cell fill loop, which
-    benchmark traces time; it can go once per-cell evaluation is batched.
+    The named stage around the per-cell fill loop that general functionals
+    (products, compositions, recentered and finite-difference slots) need;
+    benchmark traces time it by this name.  State-only integrands skip it.
     """
     fill(0, out.shape[0], out)
     return out

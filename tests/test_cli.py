@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathwise_ito
 from pathwise_ito.cli import cli_main
 from pathwise_ito.paths import load_sampled_path
 from pathwise_ito.qv import qv_scalar
@@ -302,18 +307,41 @@ def test_domain_violation_exits_one(tmp_path, capsys):
     assert "error" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+LOG_REPRO = {
+    "functional": {"cylinder": {"f": "log(x1)", "grad": ["1/x1"], "hess": [["-1/x1**2"]]}},
+    "levels": [4, 6, 8],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["integrate", "ito-check"])
 def test_non_finite_term_exits_one(command, tmp_path, capsys):
     # log(x1) on a Brownian path started at 0: the integrand 1/x1 is infinite
     # in the first cell, so no table with nan/inf rows may be written
-    log = {"cylinder": {"f": "log(x1)", "grad": ["1/x1"], "hess": [["-1/x1**2"]]}}
-    doc = _brownian_config({"functional": log, "levels": [4, 6, 8]}, base_points=256)
+    doc = _brownian_config(LOG_REPRO, base_points=256)
     out = tmp_path / "out.csv"
     code, _, err = _run([command, "-c", _write_config(tmp_path, doc), "-o", str(out)], capsys)
     assert code == 1
     assert "non-finite ito term" in err and "level 4" in err
     assert not out.exists()
+
+
+def test_non_finite_term_prints_only_the_error_line(tmp_path):
+    # Formulas run under np.errstate, so no RuntimeWarning (with a line of
+    # generated formula source) precedes the error in a real process.
+    doc = _brownian_config(LOG_REPRO, base_points=256)
+    src = str(Path(pathwise_ito.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathwise_ito.cli", "ito-check", "-c", _write_config(tmp_path, doc)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite ito term xi . dX at level 4, grid time 0.0\n"
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
