@@ -19,6 +19,10 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = {
     "gen_d2.csv": ["gen", "--kind", "brownian", "--n", "256", "--d", "2", "--seed", "7"],
     "qv_d2.csv": ["qv", "-i", str(GOLDEN / "gen_d2.csv")],
+    "gen_d5.csv": ["gen", "--kind", "brownian", "--n", "512", "--d", "5", "--seed", "11"],
+    "qv_d5.csv": ["qv", "-i", str(GOLDEN / "gen_d5.csv")],
+    "qv_d5_levels2.csv": ["qv", "-i", str(GOLDEN / "gen_d5.csv"), "--levels", "2"],
+    "qv_d5_levels1.csv": ["qv", "-i", str(GOLDEN / "gen_d5.csv"), "--levels", "1"],
     "integrate_d1.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d1.json")],
     "ito_check_d1.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d1.json")],
     "integrate_d3.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d3.json")],
