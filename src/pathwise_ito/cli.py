@@ -23,6 +23,8 @@ import csv
 import os
 import sys
 
+import numpy as np
+
 from .config import (
     ExperimentConfig,
     build_components,
@@ -45,11 +47,12 @@ from .paths import (
     PartitionSequence,
     PathFormatError,
     _format,
+    _write_table,
     default_output_dir,
     load_sampled_path,
     write_path_csv,
 )
-from .qv import qv_converged, qv_matrix
+from .qv import _level_gap, _table_pairs, qv_converged, qv_matrix
 
 
 def _say(message: str) -> None:
@@ -104,36 +107,26 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _triangle(d: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(d) for j in range(i, d)]
-
-
 def _cmd_qv(args) -> int:
     x = load_sampled_path(args.input)
     levels = args.levels if args.levels is not None else default_num_levels(x.n_points)
     part = PartitionSequence(x.times, num_levels=levels)
-    finest = qv_matrix(x, part, levels)
-    pairs = _triangle(x.d)
-    cols = [finest.entry_path(i, j) for i, j in pairs]
-    if levels >= 2:
-        prev = qv_matrix(x, part, levels - 1)
-        diffs = [abs(c - prev.entry_path(i, j)) for (i, j), c in zip(pairs, cols)]
-        level_diff = [max(d[k] for d in diffs) for k in range(x.n_points)]
-    else:
-        level_diff = [0.0] * x.n_points
-    with _open_output(_resolve_dest(args, None)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"] + [f"qv_{i + 1}{j + 1}" for i, j in pairs] + ["level_diff"]
-        )
-        for k in range(x.n_points):
-            writer.writerow(
-                [_format(x.times[k])]
-                + [_format(c[k]) for c in cols]
-                + [_format(level_diff[k])]
-            )
     if levels >= 3:
         rep = qv_converged(x, part)
+        finest, level_diff = rep.matrices, rep.last_gap
+    else:
+        finest = qv_matrix(x, part, levels).matrices
+        level_diff = np.zeros(x.n_points)
+        if levels == 2:
+            prev = qv_matrix(x, part, 1).matrices
+            level_diff = _level_gap(finest, prev, (1, 2), (1, 2), x.times)
+    pairs = _table_pairs(x.d)
+    rows, cols = zip(*pairs)
+    table = np.column_stack([x.times, finest[:, rows, cols], level_diff])
+    header = ["t"] + [f"qv_{i + 1}{j + 1}" for i, j in pairs] + ["level_diff"]
+    with _open_output(_resolve_dest(args, None)) as fh:
+        _write_table(fh, header, table)
+    if levels >= 3:
         _say(f"converged: {'yes' if rep.converged else 'no'}")
     else:
         _say("converged: n/a (need at least 3 levels)")

@@ -454,18 +454,31 @@ def _format(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+_ROWS_PER_WRITE = 512
+
+
+def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
+    """Write a header and a float table as CSV, 17 significant digits a cell.
+
+    Gives the bytes ``csv.writer`` gives for ``_format`` cells (no quoting,
+    CRLF rows), one block of rows at a time so the file is never held as one
+    string.
+    """
+    dest.write(",".join(header) + "\r\n")
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
+    for start in range(0, table.shape[0], _ROWS_PER_WRITE):
+        block = table[start : start + _ROWS_PER_WRITE]
+        dest.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def write_path_csv(path: SampledPath, dest, prefix: str = "x") -> None:
     close = False
     if not hasattr(dest, "write"):
         dest = open(dest, "w", newline="")
         close = True
     try:
-        writer = csv.writer(dest)
-        writer.writerow(["t"] + [f"{prefix}{i + 1}" for i in range(path.d)])
-        for i in range(path.n_points):
-            writer.writerow(
-                [_format(path.times[i])] + [_format(v) for v in path.values[i]]
-            )
+        header = ["t"] + [f"{prefix}{i + 1}" for i in range(path.d)]
+        _write_table(dest, header, np.column_stack([path.times, path.values]))
     finally:
         if close:
             dest.close()

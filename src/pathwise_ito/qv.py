@@ -17,10 +17,16 @@ by polarization,
     [x_i, x_j] = ([x_i + x_j] - [x_i] - [x_j]) / 2,
 
 which keeps every matrix exactly symmetric and consistent with the scalar
-sums by construction.
+sums by construction.  Polarization is batched: the d columns x_i and the
+d(d-1)/2 columns x_i + x_j sit in one (columns, N) array and every level
+runs on all of them in one set of array operations.  Each column keeps the
+one-column arithmetic and summation order, so the batch gives the same bits
+as running the columns one by one.
 
 All reductions run in a fixed order (see reduction.py), so repeated runs
-produce bit-identical results.
+produce bit-identical results.  A matrix whose sums overflow is never
+reported: qv_matrix and qv_converged raise DomainError naming the entry,
+the level and the grid time.
 """
 from __future__ import annotations
 
@@ -28,34 +34,134 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import PartitionSequence, SampledPath, _require_same_grid
+from .paths import DomainError, PartitionSequence, SampledPath, _require_same_grid
 from .reduction import running_sum
 from .stieltjes import StieltjesMeasure
 
 
-def _scalar_qv_arrays(
-    values: np.ndarray, partition: PartitionSequence, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-grid-time QV path and per-cell QV increments for one component.
+def _pair_blocks(d: int):
+    """(i, rows) for each i < d - 1: the packed rows of the pairs (i, j > i).
 
-    The increment over a base cell [u, u'] inside the partition cell
-    starting at s is (x(u') - x(s))^2 - (x(u) - x(s))^2; summed over a full
-    partition cell this telescopes to the squared partition increment.
+    Pairs are packed after the d diagonal rows in ``np.triu_indices``
+    order, so the pairs of one i fill a contiguous block whose j run
+    i + 1 .. d - 1.
+    """
+    start = d
+    for i in range(d - 1):
+        yield i, slice(start, start + d - 1 - i)
+        start += d - 1 - i
+
+
+def _polarization_columns(values: np.ndarray) -> np.ndarray:
+    """The scalar columns polarization needs, as one C-contiguous (k, N) array.
+
+    Rows 0..d-1 hold x_i and the remaining d(d-1)/2 rows hold x_i + x_j for
+    i < j in ``np.triu_indices`` order, so k = d + d(d-1)/2.
+    """
+    n, d = values.shape
+    cols = np.empty((d + d * (d - 1) // 2, n), dtype=np.float64)
+    cols[:d] = values.T
+    for i, rows in _pair_blocks(d):
+        np.add(cols[i], cols[i + 1 : d], out=cols[rows])
+    return cols
+
+
+def _entry_rows(d: int) -> np.ndarray:
+    """(d, d) map from a matrix entry to its row in the packed entry layout."""
+    rows = np.diag(np.arange(d))
+    for i, block in _pair_blocks(d):
+        rows[i, i + 1 :] = rows[i + 1 :, i] = np.arange(block.start, block.stop)
+    return rows
+
+
+def _unpack(entries: np.ndarray, d: int) -> np.ndarray:
+    """Packed (k, M) entries as (M, d, d) symmetric matrices."""
+    return np.ascontiguousarray(entries[_entry_rows(d)].transpose(2, 0, 1))
+
+
+def _qv_matrix_arrays(
+    cols: np.ndarray,
+    d: int,
+    partition: PartitionSequence,
+    level: int,
+    paths: bool = True,
+    increments: bool = False,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Packed (k, N) entry paths and (k, N-1) per-cell entry increments.
+
+    ``cols`` comes from :func:`_polarization_columns`; the returned rows are
+    [x_i] for i < d, then [x_i, x_j] for i < j, and a skipped output is None.
+    Every row gets the one-component computation: the increment over a base
+    cell [u, u'] inside the partition cell starting at s is
+    (x(u') - x(s))^2 - (x(u) - x(s))^2, which telescopes over a full
+    partition cell to the squared partition increment.  Overflow yields
+    non-finite entries without a warning; callers that report entries check
+    them.
     """
     idx = partition.indices(level)
-    v = values[idx]
-    dv = np.diff(v)
-    cum = running_sum(dv * dv)
-    pos = np.searchsorted(idx, np.arange(values.shape[0]), side="right") - 1
-    anchored = values - v[pos]
-    path = cum[pos] + anchored * anchored
-    increments = anchored[1:] ** 2 - anchored[:-1] ** 2
-    # At partition points after the first the anchor changes; the base cell
-    # ending there still belongs to the previous anchor.
-    boundary = idx[1:]
-    prev_anchor = values[boundary] - v[pos[boundary] - 1]
-    increments[boundary - 1] = prev_anchor**2 - anchored[boundary - 1] ** 2
-    return path, increments
+    reps = np.diff(idx, append=cols.shape[1])  # grid points per anchor
+    v = cols[:, idx]
+    path = inc = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv2 = np.diff(v, axis=1)
+        dv2 *= dv2
+        sq = cols - np.repeat(v, reps, axis=1)
+        sq *= sq  # squared distance to the cell's anchor
+        if paths:
+            path = np.repeat(running_sum(dv2), reps, axis=1)
+            path += sq
+            _polarize(path, d)
+        if increments:
+            inc = sq[:, 1:] - sq[:, :-1]
+            # At partition points after the first the anchor changes; the
+            # base cell ending there still belongs to the previous anchor.
+            ends = idx[1:] - 1
+            inc[:, ends] = dv2 - sq[:, ends]
+            _polarize(inc, d)
+    return path, inc
+
+
+def _polarize(a: np.ndarray, d: int) -> None:
+    """Turn rows [x_i + x_j] into ([x_i + x_j] - [x_i] - [x_j]) / 2 in place."""
+    for i, rows in _pair_blocks(d):
+        off = a[rows]
+        off -= a[i]
+        off -= a[i + 1 : d]
+    a[d:] *= 0.5
+
+
+def _table_pairs(d: int) -> list[tuple[int, int]]:
+    """Upper-triangle entries (i <= j) in table order: row by row."""
+    return [(i, j) for i in range(d) for j in range(i, d)]
+
+
+def _require_finite(entries: np.ndarray, d: int, level: int, times: np.ndarray) -> None:
+    """DomainError naming the non-finite entries at their first grid time."""
+    ok = np.isfinite(entries)
+    if ok.all():
+        return
+    k = int(np.argmin(ok.all(axis=0)))  # first grid time with a bad entry
+    rows = _entry_rows(d)
+    names = ", ".join(
+        f"qv_{i + 1}{j + 1}" for i, j in _table_pairs(d) if not ok[rows[i, j], k]
+    )
+    raise DomainError(f"non-finite {names} at level {level}, grid time {float(times[k])}")
+
+
+def _level_gap(
+    new: np.ndarray, old: np.ndarray, axis, levels: tuple[int, int], times: np.ndarray
+) -> np.ndarray:
+    """Per grid time, the largest |new - old| over the entry axes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.max(np.abs(new - old), axis=axis)
+    ok = np.isfinite(gap)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise DomainError(
+            f"non-finite level_diff between levels {levels[0]} and {levels[1]}, "
+            f"grid time {float(times[k])}"
+        )
+    return gap
 
 
 def qv_scalar(
@@ -67,7 +173,8 @@ def qv_scalar(
 ) -> float:
     """Level-n quadratic variation of one component up to grid time t."""
     _require_same_grid(x, partition)
-    path, _ = _scalar_qv_arrays(x.values[:, component], partition, level)
+    path, _ = _qv_matrix_arrays(x.values[:, component][None, :], 1, partition, level)
+    path = path[0]
     if t is None:
         return float(path[-1])
     return float(path[x.grid_index(t)])
@@ -82,7 +189,8 @@ class QVMatrix:
     diagonals are nondecreasing along partition points (between them the
     clipped term can dip while the path wanders back toward its anchor).
     When produced by :func:`qv_converged` the per-level diagnostics are
-    attached.
+    attached: ``level_diffs`` between consecutive levels and ``last_gap``,
+    the per-grid-time gap between the last two levels.
     """
 
     times: np.ndarray
@@ -90,6 +198,7 @@ class QVMatrix:
     level: int
     levels: tuple[int, ...] | None = None
     level_diffs: np.ndarray | None = None
+    last_gap: np.ndarray | None = None
     converged: bool | None = None
     tol: float | None = None
 
@@ -111,50 +220,29 @@ class QVMatrix:
 def qv_matrix(
     x: SampledPath, partition: PartitionSequence, level: int
 ) -> "QVMatrix":
-    """Full matrix [x_i, x_j]_n on the grid; off-diagonals by polarization."""
-    mats, _ = _qv_matrix_arrays(x, partition, level)
-    return QVMatrix(times=x.times, matrices=mats, level=int(level))
+    """Full matrix [x_i, x_j]_n on the grid; off-diagonals by polarization.
 
-
-def _qv_matrix_arrays(
-    x: SampledPath, partition: PartitionSequence, level: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N, d, d) matrix paths and (N-1, d, d) per-cell increment arrays."""
+    A non-finite entry (the sums overflowed) raises DomainError naming the
+    entries, the level and the first grid time.
+    """
     _require_same_grid(x, partition)
-    n, d = x.values.shape
-    mats = np.empty((n, d, d), dtype=np.float64)
-    incs = np.empty((n - 1, d, d), dtype=np.float64)
-    diag_paths = []
-    diag_incs = []
-    for i in range(d):
-        p, inc = _scalar_qv_arrays(x.values[:, i], partition, level)
-        diag_paths.append(p)
-        diag_incs.append(inc)
-        mats[:, i, i] = p
-        incs[:, i, i] = inc
-    for i in range(d):
-        for j in range(i + 1, d):
-            p_sum, inc_sum = _scalar_qv_arrays(
-                x.values[:, i] + x.values[:, j], partition, level
-            )
-            off_path = 0.5 * (p_sum - diag_paths[i] - diag_paths[j])
-            off_inc = 0.5 * (inc_sum - diag_incs[i] - diag_incs[j])
-            mats[:, i, j] = off_path
-            mats[:, j, i] = off_path
-            incs[:, i, j] = off_inc
-            incs[:, j, i] = off_inc
-    return mats, incs
+    entries, _ = _qv_matrix_arrays(_polarization_columns(x.values), x.d, partition, level)
+    _require_finite(entries, x.d, level, x.times)
+    return QVMatrix(times=x.times, matrices=_unpack(entries, x.d), level=int(level))
 
 
 def qv_measures(
     x: SampledPath, partition: PartitionSequence, level: int
 ) -> list[list[StieltjesMeasure]]:
     """Stieltjes measures d[x_i, x_j]_n for every entry, as a d x d table."""
-    _, incs = _qv_matrix_arrays(x, partition, level)
-    d = incs.shape[1]
+    _require_same_grid(x, partition)
+    _, incs = _qv_matrix_arrays(
+        _polarization_columns(x.values), x.d, partition, level, paths=False, increments=True
+    )
+    rows = _entry_rows(x.d)
     return [
-        [StieltjesMeasure(x.times, np.ascontiguousarray(incs[:, i, j])) for j in range(d)]
-        for i in range(d)
+        [StieltjesMeasure(x.times, incs[rows[i, j]]) for j in range(x.d)]
+        for i in range(x.d)
     ]
 
 
@@ -168,29 +256,35 @@ def qv_converged(
 
     Runs the matrix at every requested level (default: all of them, at
     least three) and records the max-over-time, max-over-entry difference
-    between consecutive levels.  ``converged`` holds iff the last recorded
-    difference is below ``tol`` (an absolute threshold).
+    between consecutive levels, plus, per grid time, the max-over-entry
+    difference between the last two (``last_gap``).  ``converged`` holds iff
+    the last recorded difference is below ``tol`` (an absolute threshold).
+    A non-finite entry or difference raises DomainError.
     """
     if levels is None:
         levels = tuple(range(1, partition.num_levels + 1))
     levels = tuple(int(n) for n in levels)
     if len(levels) < 3:
         raise ValueError("convergence diagnostics need at least three levels")
+    _require_same_grid(x, partition)
+    cols = _polarization_columns(x.values)
     diffs = []
-    prev = None
-    mats = None
-    for n in levels:
-        mats, _ = _qv_matrix_arrays(x, partition, n)
+    prev = gap = None
+    for prev_n, n in zip((None,) + levels, levels):
+        entries, _ = _qv_matrix_arrays(cols, x.d, partition, n)
+        _require_finite(entries, x.d, n, x.times)
         if prev is not None:
-            diffs.append(float(np.max(np.abs(mats - prev))))
-        prev = mats
+            gap = _level_gap(entries, prev, 0, (prev_n, n), x.times)
+            diffs.append(float(np.max(gap)))
+        prev = entries
     level_diffs = np.asarray(diffs)
     return QVMatrix(
         times=x.times,
-        matrices=mats,
+        matrices=_unpack(prev, x.d),
         level=levels[-1],
         levels=levels,
         level_diffs=level_diffs,
+        last_gap=gap,
         converged=bool(level_diffs[-1] < tol),
         tol=float(tol),
     )

@@ -22,13 +22,14 @@ def map_chunked(fill: Callable[[int, int, np.ndarray], None], out: np.ndarray) -
 
 
 def running_sum(terms: np.ndarray) -> np.ndarray:
-    """Left-to-right cumulative sum with a leading zero.
+    """Left-to-right cumulative sum along the last axis, with a leading zero.
 
     Sequential order is part of the contract: repeated runs give the same
-    bits, and a partial sum always equals the reported value at that point.
+    bits, each row of a 2-D input sums exactly like that row on its own,
+    and a partial sum always equals the reported value at that point.
     """
     terms = np.asarray(terms, dtype=np.float64)
-    out = np.empty(len(terms) + 1, dtype=np.float64)
-    out[0] = 0.0
-    np.cumsum(terms, out=out[1:])
+    out = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,), dtype=np.float64)
+    out[..., 0] = 0.0
+    np.cumsum(terms, axis=-1, out=out[..., 1:])
     return out

@@ -127,6 +127,44 @@ def test_qv_two_dimensional_header_and_symmetry(tmp_path, capsys):
     assert math.isclose(float(last[3]), qv_scalar(x, part, 6, component=1), rel_tol=1e-12)
 
 
+OVERFLOW_ROWS = "t,x1,x2\n0,0,0\n0.25,1e200,1\n0.5,-1e200,1\n0.75,1,2\n1,0,2\n"
+
+
+def _subprocess_cli(argv):
+    src = str(Path(pathwise_ito.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pathwise_ito.cli"] + argv,
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_qv_overflow_prints_only_the_error_line(tmp_path):
+    # (1e200)^2 overflows: no warning, no inf/nan table, one error line, exit 1
+    p = tmp_path / "huge.csv"
+    p.write_text(OVERFLOW_ROWS)
+    out = tmp_path / "qv.csv"
+    proc = _subprocess_cli(["qv", "-i", str(p), "--levels", "2", "-o", str(out)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: non-finite qv_11, qv_12 at level 2, grid time 0.25\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("levels", ["1", "3"])
+def test_qv_overflow_exits_one_at_any_level_count(levels, tmp_path, capsys):
+    p = tmp_path / "huge.csv"
+    p.write_text(OVERFLOW_ROWS)
+    code, out, err = _run(["qv", "-i", str(p), "--levels", levels], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: non-finite qv_11, qv_12 at level 1, grid time 0.25\n"
+
+
 def test_qv_missing_input_is_an_io_error(capsys, tmp_path):
     code, _, err = _run(["qv", "-i", str(tmp_path / "nope.csv")], capsys)
     assert code == 2
@@ -330,15 +368,7 @@ def test_non_finite_term_prints_only_the_error_line(tmp_path):
     # Formulas run under np.errstate, so no RuntimeWarning (with a line of
     # generated formula source) precedes the error in a real process.
     doc = _brownian_config(LOG_REPRO, base_points=256)
-    src = str(Path(pathwise_ito.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pathwise_ito.cli", "ito-check", "-c", _write_config(tmp_path, doc)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _subprocess_cli(["ito-check", "-c", _write_config(tmp_path, doc)])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: non-finite ito term xi . dX at level 4, grid time 0.0\n"
