@@ -1,20 +1,35 @@
-"""Small symbolic expression helper used by generators and config files.
+"""Small expression compiler used by generators and config files.
 
-Expressions are parsed once with sympy against a fixed set of variable
-names, checked for stray symbols, and compiled to numpy-vectorised
-callables that map equal-shape arrays elementwise, so one call covers a
-whole grid.  Formulas are only evaluated, never differentiated: partial
-derivatives come from the config as separate formulas.
-
-sympy is imported lazily; nothing here runs unless an expression is
-actually used.
+A formula is parsed with ``ast``, checked against a whitelist of names and
+node types, and compiled into numpy closures that map equal-shape arrays
+elementwise, so one call covers a whole grid; the text never reaches
+``eval``.  Formulas evaluate in the order written and are never
+differentiated: partial derivatives come from the config as formulas.
 """
 from __future__ import annotations
 
+import ast
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+
+_FUNCTIONS = {
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin, "cos": np.cos,
+    "tan": np.tan, "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan, "abs": np.abs,
+}
+_CONSTANTS = {"pi": math.pi, "E": math.e}
+_OPERATORS = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.Pow: operator.pow,
+    ast.UAdd: operator.pos, ast.USub: operator.neg,
+}
+_REJECTED = (
+    SyntaxError, TypeError, ValueError, ArithmeticError, RecursionError, MemoryError
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,29 +56,62 @@ class CompiledExpression:
         return out
 
 
+def _apply(op: Callable, *operands):
+    """A closure over the argument tuple, or the value if every operand is constant."""
+    if any(callable(o) for o in operands):
+        get = [o if callable(o) else (lambda args, c=o: c) for o in operands]
+        return lambda args: op(*[g(args) for g in get])
+    if op is operator.pow and all(type(v) is int for v in operands):
+        base, power = operands
+        if power * math.log2(abs(base) or 1) > 1024:  # refuse to build a huge int
+            raise OverflowError(f"{base}**{power} exceeds the float range")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = op(*operands)
+    float(value)  # a complex value, or an int past the float range, fails here
+    return value
+
+
 def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpression:
     """Parse ``text`` over exactly the given variable names.
 
-    Any free symbol outside ``variables`` is rejected, so a typo in a config
-    file fails at parse time instead of at evaluation time.
+    Any name outside ``variables``, ``pi``, ``E`` and the function names is
+    rejected, so a typo in a config file fails at parse time instead of at
+    evaluation time.
     """
-    import sympy
-    from sympy.parsing.sympy_parser import parse_expr
+    index = {v: i for i, v in enumerate(variables)}
 
-    local = {v: sympy.Symbol(v, real=True) for v in variables}
+    def build(node):
+        match node:
+            case ast.Constant(value=value) if type(value) in (int, float):
+                return _apply(operator.pos, value)
+            case ast.Name(id=name) if name in index:
+                return lambda args, i=index[name]: args[i]
+            case ast.Name(id=name) if name in _CONSTANTS:
+                return _CONSTANTS[name]
+            case ast.UnaryOp(op=op, operand=x) if type(op) in _OPERATORS:
+                return _apply(_OPERATORS[type(op)], build(x))
+            case ast.BinOp(left=x, op=op, right=y) if type(op) in _OPERATORS:
+                return _apply(_OPERATORS[type(op)], build(x), build(y))
+            case ast.Call(func=ast.Name(id=name), args=[x], keywords=[]) if name in _FUNCTIONS:
+                arg = build(x)  # a constant argument becomes a float, as an array is
+                return _apply(_FUNCTIONS[name], arg if callable(arg) else float(arg))
+        raise ValueError(f"{ast.unparse(node)!r} is not allowed")
+
     try:
-        expr = parse_expr(text, local_dict=local)
-    except Exception as exc:  # sympy's tokenizer raises a mixed bag
-        raise ValueError(f"cannot parse expression {text!r}: {exc}") from None
-    allowed = set(local.values())
-    stray = [str(s) for s in expr.free_symbols if s not in allowed]
+        tree = ast.parse(text, mode="eval").body
+        names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        stray = names - index.keys() - _CONSTANTS.keys() - _FUNCTIONS.keys()
+        fn = None if stray else build(tree)
+    except _REJECTED as exc:
+        reason = str(exc) or type(exc).__name__
+        raise ValueError(f"cannot parse expression {text!r}: {reason}") from None
     if stray:
         raise ValueError(
             f"expression {text!r} uses unknown names {sorted(stray)}; "
             f"allowed: {list(variables)}"
         )
-    fn = sympy.lambdify([local[v] for v in variables], expr, modules="numpy")
-    return CompiledExpression(text=text, variables=tuple(variables), _fn=fn)
+    run = fn if callable(fn) else lambda args: fn
+    return CompiledExpression(text, tuple(variables), lambda *args: run(args))
 
 
 def state_variables(d: int, m: int) -> tuple[str, ...]:
