@@ -22,14 +22,9 @@ _FUNCTIONS = {
     "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan, "abs": np.abs,
 }
 _CONSTANTS = {"pi": math.pi, "E": math.e}
-_OPERATORS = {
-    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-    ast.Div: operator.truediv, ast.Pow: operator.pow,
-    ast.UAdd: operator.pos, ast.USub: operator.neg,
-}
-_REJECTED = (
-    SyntaxError, TypeError, ValueError, ArithmeticError, RecursionError, MemoryError
-)
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.Pow: operator.pow,
+              ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,11 +55,14 @@ def _apply(op: Callable, *operands):
     """A closure over the argument tuple, or the value if every operand is constant."""
     if any(callable(o) for o in operands):
         get = [o if callable(o) else (lambda args, c=o: c) for o in operands]
-        return lambda args: op(*[g(args) for g in get])
+        if len(get) == 1:
+            (f,) = get
+            return lambda args: op(f(args))
+        f, g = get
+        return lambda args: op(f(args), g(args))
     if op is operator.pow and all(type(v) is int for v in operands):
-        base, power = operands
-        if power * math.log2(abs(base) or 1) > 1024:  # refuse to build a huge int
-            raise OverflowError(f"{base}**{power} exceeds the float range")
+        if operands[1] * math.log2(abs(operands[0]) or 1) > 1024:  # too big for a float
+            raise OverflowError("{}**{} exceeds the float range".format(*operands))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         value = op(*operands)
     float(value)  # a complex value, or an int past the float range, fails here
@@ -74,9 +72,8 @@ def _apply(op: Callable, *operands):
 def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpression:
     """Parse ``text`` over exactly the given variable names.
 
-    Any name outside ``variables``, ``pi``, ``E`` and the function names is
-    rejected, so a typo in a config file fails at parse time instead of at
-    evaluation time.
+    A name outside ``variables``, ``pi``, ``E`` and the functions is rejected,
+    so a typo in a config file fails at parse time, not at evaluation time.
     """
     index = {v: i for i, v in enumerate(variables)}
 
@@ -88,10 +85,9 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpress
                 return lambda args, i=index[name]: args[i]
             case ast.Name(id=name) if name in _CONSTANTS:
                 return _CONSTANTS[name]
-            case ast.UnaryOp(op=op, operand=x) if type(op) in _OPERATORS:
-                return _apply(_OPERATORS[type(op)], build(x))
-            case ast.BinOp(left=x, op=op, right=y) if type(op) in _OPERATORS:
-                return _apply(_OPERATORS[type(op)], build(x), build(y))
+            case ast.UnaryOp(op=op) | ast.BinOp(op=op) if type(op) in _OPERATORS:
+                parts = [build(c) for c in ast.iter_child_nodes(node) if c is not op]
+                return _apply(_OPERATORS[type(op)], *parts)
             case ast.Call(func=ast.Name(id=name), args=[x], keywords=[]) if name in _FUNCTIONS:
                 arg = build(x)  # a constant argument becomes a float, as an array is
                 return _apply(_FUNCTIONS[name], arg if callable(arg) else float(arg))
@@ -102,7 +98,8 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpress
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         stray = names - index.keys() - _CONSTANTS.keys() - _FUNCTIONS.keys()
         fn = None if stray else build(tree)
-    except _REJECTED as exc:
+    except (SyntaxError, TypeError, ValueError, ArithmeticError,
+            RecursionError, MemoryError) as exc:
         reason = str(exc) or type(exc).__name__
         raise ValueError(f"cannot parse expression {text!r}: {reason}") from None
     if stray:
