@@ -148,14 +148,12 @@ def _cmd_integrate(args) -> int:
     m = 0 if a is None else a.m
     xi = AdmissibleIntegrand(build_functional(config.functional, x.d, m), a)
     result = ito_integral(xi, x, part, levels=config.levels, tol=config.tolerance)
+    blocks = []
+    for level, values in zip(result.levels, result.values):
+        k = part.indices(level)
+        blocks.append(np.column_stack([np.full(k.size, level), x.times[k], values[k]]))
     with _open_output(_resolve_dest(args, config)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "t", "I"])
-        for row, level in enumerate(result.levels):
-            for k in part.indices(level):
-                writer.writerow(
-                    [str(level), _format(x.times[k]), _format(result.values[row, k])]
-                )
+        _write_table(fh, ["level", "t", "I"], np.concatenate(blocks))
     if result.converged is None:
         _say("converged: n/a (single level)")
     else:
@@ -170,22 +168,11 @@ def _cmd_ito_check(args) -> int:
     m = 0 if a is None else a.m
     F = build_functional(config.functional, x.d, m)
     rep = ito_formula_report(F, x, a, part, levels=config.levels, tol=config.tolerance)
+    terms = (rep.levels, rep.lhs, rep.ito_at_T, rep.horizontal_at_T, rep.qv_at_T)
+    table = np.column_stack(np.broadcast_arrays(*terms, rep.residuals))
+    header = ["level", "term_lhs", "term_ito", "term_horiz", "term_qv", "residual"]
     with _open_output(_resolve_dest(args, config)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["level", "term_lhs", "term_ito", "term_horiz", "term_qv", "residual"]
-        )
-        for row, level in enumerate(rep.levels):
-            writer.writerow(
-                [
-                    str(level),
-                    _format(rep.lhs),
-                    _format(rep.ito_at_T[row]),
-                    _format(rep.horizontal_at_T),
-                    _format(rep.qv_at_T[row]),
-                    _format(rep.residuals[row]),
-                ]
-            )
+        _write_table(fh, header, table)
     worst = max(abs(float(r)) for r in rep.residuals)
     _say(f"worst residual: {_format(worst)}")
     return 0
