@@ -39,12 +39,13 @@ from .paths import (
     DomainError,
     GridError,
     LINEAR,
+    PartitionSequence,
     SampledPath,
     _check_domain,
+    _domain_mask,
     stop,
 )
 from .qv import qv_matrix
-from .paths import PartitionSequence
 
 _DERIV_GUARD = 1e-14
 
@@ -562,23 +563,9 @@ def quadratic_variation_path(
 
 
 def _merge_domains(a: Domain | None, b: Domain | None) -> Domain | None:
-    if a is None or a is b:
+    if a is None or b is None or a is b:
         return b if a is None else a
-    if b is None:
-        return a
-    def both(values):
-        return np.logical_and(
-            _domain_mask(values, a), _domain_mask(values, b)
-        )
-    return both
-
-
-def _domain_mask(values, domain):
-    from .paths import Box
-
-    if isinstance(domain, Box):
-        return domain.contains(values)
-    return np.asarray(domain(values), dtype=bool)
+    return lambda values: _domain_mask(values, a) & _domain_mask(values, b)
 
 
 def product(F: Functional, G: Functional) -> Functional:

@@ -65,14 +65,15 @@ def positive_orthant(d: int = 1) -> Box:
     return Box(lower=(0.0,) * d, upper=(np.inf,) * d)
 
 
+def _domain_mask(values: np.ndarray, domain: Domain) -> np.ndarray:
+    ok = domain.contains(values) if isinstance(domain, Box) else domain(values)
+    return np.asarray(ok, dtype=bool)
+
+
 def _check_domain(values: np.ndarray, domain: Domain | None) -> None:
     if domain is None:
         return
-    if isinstance(domain, Box):
-        ok = domain.contains(values)
-    else:
-        ok = np.asarray(domain(values), dtype=bool)
-    ok = np.atleast_1d(ok)
+    ok = np.atleast_1d(_domain_mask(values, domain))
     if not bool(np.all(ok)):
         idx = int(np.argmin(ok))
         raise DomainError(f"path value at grid index {idx} lies outside the domain")
