@@ -89,7 +89,7 @@ def compile_expression(text: str, variables: tuple[str, ...]) -> CompiledExpress
                 parts = [build(c) for c in ast.iter_child_nodes(node) if c is not op]
                 return _apply(_OPERATORS[type(op)], *parts)
             case ast.Call(func=ast.Name(id=name), args=[x], keywords=[]) if name in _FUNCTIONS:
-                arg = build(x)  # a constant argument becomes a float, as an array is
+                arg = build(x)  # a constant reaches numpy as a float: abs(-2) is 2.0
                 return _apply(_FUNCTIONS[name], arg if callable(arg) else float(arg))
         raise ValueError(f"{ast.unparse(node)!r} is not allowed")
 
