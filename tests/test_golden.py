@@ -28,6 +28,13 @@ CASES = {
     "integrate_d3.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d3.json")],
     "ito_check_d3.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d3.json")],
     "assoc_check_d2.csv": ["assoc-check", "-c", str(GOLDEN / "assoc_d2.json")],
+    # Every layout of the CSV writer: fixed with leading zeros, with an
+    # integer part and integer-valued; scientific with 2- and 3-digit
+    # exponents; -0; cells of 1e17 and more and cells below 1e-11.
+    "gen_smooth_d4.csv": [
+        "gen", "--kind", "smooth", "--n", "512", "--d", "4",
+        "--expression", "1e25*t**7 ; 1e-6*t - 3e-6*t**2 ; t**60 ; -(0*t) - 12345*t",
+    ],
 }
 
 
