@@ -65,6 +65,10 @@ class GeneratorSpec:
             raise ValueError("the horizon T must be positive")
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
+        for name in ("expression", "slope"):
+            formula = getattr(self, name)
+            if formula is not None and not isinstance(formula, str):
+                raise ValueError(f"generator '{name}' must be a formula string")
         if self.kind == "smooth" and not self.expression:
             raise ValueError("smooth paths need an expression in t")
         if self.kind == "monotone-bv" and not self.slope:

@@ -389,6 +389,22 @@ def test_unknown_config_key_exits_two(key, tmp_path, capsys):
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [
+        {"kind": "smooth", "base_points": 64, "expression": 5},
+        {"kind": "monotone-bv", "base_points": 64, "slope": 5},
+    ],
+)
+def test_non_string_generator_formula_exits_two(generator, tmp_path, capsys):
+    doc = {"path": {"generator": generator}, "functional": SQUARE}
+    code, out, err = _run(["integrate", "-c", _write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    key = "expression" if "expression" in generator else "slope"
+    assert err == f"error: generator '{key}' must be a formula string\n"
+
+
 def test_no_arguments_exits_two(capsys):
     assert cli_main([]) == 2
     capsys.readouterr()
