@@ -21,6 +21,8 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from ._g17 import format_rows
+
 STEP = "step"
 LINEAR = "linear"
 _INTERPOLATIONS = (STEP, LINEAR)
@@ -455,7 +457,7 @@ def _format(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-_ROWS_PER_WRITE = 512
+_CELLS_PER_WRITE = 16384
 
 
 def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
@@ -463,13 +465,18 @@ def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
 
     Gives the bytes ``csv.writer`` gives for ``_format`` cells (no quoting,
     CRLF rows), one block of rows at a time so the file is never held as one
-    string.
+    string.  The cells are formatted by array arithmetic (``_g17``), exactly:
+    a finite cell with 1e-11 < |v| < 1e17 is M * 2**E with M < 2**53, and its
+    17 digits are M * 5**k * 2**(E + k) for k = 16 - floor(log10 |v|) in
+    [0, 27], a product below 2**116 that is formed as two uint64 words and
+    rounded half to even on its exact remainder, as ``'%.17g'`` rounds.
+    The other cells (0, -0, inf, nan, |v| >= 1e17 and |v| <= 1e-11) are
+    formatted by ``'%.17g' % v`` itself.
     """
     dest.write(",".join(header) + "\r\n")
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    for start in range(0, table.shape[0], _ROWS_PER_WRITE):
-        block = table[start : start + _ROWS_PER_WRITE]
-        dest.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    rows = max(1, _CELLS_PER_WRITE // table.shape[1])
+    for start in range(0, table.shape[0], rows):
+        dest.write(format_rows(table[start : start + rows]))
 
 
 def write_path_csv(path: SampledPath, dest, prefix: str = "x") -> None:
