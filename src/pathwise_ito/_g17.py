@@ -1,32 +1,26 @@
-"""CSV rows of ``'%.17g'`` cells, formatted by array arithmetic.
+"""CSV rows of ``'%.17g'`` cells, formatted by integer arithmetic on arrays.
 
 A finite double v with 1e-11 < |v| < 1e17 is |v| = M * 2**E with an integer
 M < 2**53.  With X = floor(log10 |v|) in [-11, 16] and k = 16 - X in [0, 27],
-the 17 significant digits are D = round(|v| * 10**k) = round(M * 5**k *
-2**(E + k)).  M * 5**k < 2**116 is formed exactly as a (hi, lo) pair of
-uint64 words from 32-bit limbs, and the shift by 2**(E + k) keeps the
-remainder, so D is rounded half to even on the exact value, as Python's
-``%`` rounds.  Everything else (0, -0, inf, nan and the magnitudes outside
-the range) is formatted by ``'%.17g' % v`` itself.
+its 17 significant digits are D = round(M * 5**k * 2**(E + k)).  The product
+M * 5**k < 2**116 is formed exactly as two uint64 words from 32-bit limbs,
+and the shift by 2**(E + k) keeps the remainder, so D is rounded half to even
+on the exact value, as ``'%.17g'`` rounds.  Every other cell (0, -0, inf,
+nan and the magnitudes outside the range) is formatted by ``'%.17g' % v``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _X_MIN, _X_MAX = -11, 16
-_U32 = np.uint64(32)
-_LOW32 = np.uint64(0xFFFFFFFF)
-_ONE = np.uint64(1)
-_E16 = np.uint64(10**16)
-_E17 = np.uint64(10**17)
-# 5**k for k = 16 - X, split into 32-bit limbs, indexed by X - _X_MIN.
+_ONE, _U32, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(0xFFFFFFFF)
 _POW5 = np.array([5 ** (16 - x) for x in range(_X_MIN, _X_MAX + 1)], dtype=np.uint64)
 _POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _U32
 
 # D is read as five chunks of four digits, the first of them "000d".
-# _CHUNK_DIGITS holds the four digit values of 0..9999 as one uint32 (bytes
-# in reading order); _CHUNK_END[i][c] is one past the last nonzero digit of
-# chunk i among D's 17 digits (0 when c == 0).
+# _CHUNK_DIGITS[c] holds the four digit values of c as one uint32, bytes in
+# reading order; _CHUNK_END[i][c] is one past the last nonzero digit of chunk
+# i among D's 17 digits (0 for c == 0).
 _C = np.arange(10000)
 _CHUNK_DIGITS = (
     np.stack([_C // 1000, _C // 100 % 10, _C // 10 % 10, _C % 10], axis=1)
@@ -37,25 +31,23 @@ _CHUNK_DIGITS = (
 _C_END = 4 - (_C % 10 == 0) - (_C % 100 == 0) - (_C % 1000 == 0)
 _CHUNK_END = [np.where(_C > 0, start + _C_END, 0) for start in (-3, 1, 5, 9, 13)]
 
-# A cell is written into a slot of 32 bytes; zero bytes are dropped when the
-# block is joined.  Z is "0000" followed by the 17 digits of D: the text of a
-# cell is Z[start:end] with a decimal point after Z[point], so the "0.000" of
-# 1e-4 <= |v| < 1 comes from Z's leading zeros.  Z[j] sits at byte 3 + j
-# before the point and at byte 4 + j after it; the sign is byte 0, "e-XX"
-# bytes 25-28 and the separator bytes 29-30.  For each (X, significant
-# digits, sign) _TEXT holds every byte but the digit values, with '0' where a
-# digit is kept (a stripped trailing zero stays a zero byte), and _BEFORE and
-# _AFTER select the digit bytes on either side of the point.
-_WIDTH = 32
-_SEP = 29
+# A cell is written into a slot of 32 bytes, and zero bytes are dropped when
+# the block is joined.  With Z = "0000" followed by D's digits, a cell reads
+# Z[start:end] with a decimal point after Z[point], so the "0.000" of
+# 1e-4 <= |v| < 1 comes from Z's leading zeros.  Z[j] is byte 3 + j before
+# the point and byte 4 + j after it; the sign is byte 0, "e-XX" bytes 25-28
+# and the separator bytes 29-30.  Per (X, significant digits, sign), _TEXT
+# holds every byte but the digit values, with '0' where a digit is kept, so a
+# stripped trailing zero stays a zero byte; _BEFORE and _AFTER select the
+# digit bytes on either side of the point.
+_WIDTH, _SEP = 32, 29
 _FALLBACK_WIDTH = 24  # the longest '%.17g' text: -2.2250738585072014e-308
 
 
 def _layout(x: int, sig: int, negative: int) -> tuple[bytes, bytes, bytes]:
     sci = x < -4
     point = 4 if sci else 4 + x
-    start = min(point, 4)
-    end = 4 + max(sig, point - 3)
+    start, end = min(point, 4), 4 + max(sig, point - 3)
     text, before, after = bytearray(_WIDTH), bytearray(_WIDTH), bytearray(_WIDTH)
     text[0] = ord("-") * negative
     for j in range(start, end):
@@ -71,8 +63,8 @@ def _layout(x: int, sig: int, negative: int) -> tuple[bytes, bytes, bytes]:
 
 
 _TEXT, _BEFORE, _AFTER = (
-    np.frombuffer(b"".join(table), dtype=np.uint64).reshape(-1, _WIDTH // 8)
-    for table in zip(
+    np.frombuffer(b"".join(rows), dtype=np.uint64).reshape(-1, _WIDTH // 8)
+    for rows in zip(
         *(
             _layout(x, sig, negative)
             for x in range(_X_MIN, _X_MAX + 1)
@@ -86,8 +78,7 @@ _TEXT, _BEFORE, _AFTER = (
 def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray):
     """Truncated and half-even rounded m * 2**e * 10**(16 - x), as uint64."""
     m_lo, m_hi = m & _LOW32, m >> _U32
-    row = x - _X_MIN
-    f_lo, f_hi = _POW5_LO.take(row), _POW5_HI.take(row)
+    f_lo, f_hi = _POW5_LO.take(x - _X_MIN), _POW5_HI.take(x - _X_MIN)
     low = m_lo * f_lo
     mid = m_lo * f_hi + m_hi * f_lo
     lo = low + (mid << _U32)
@@ -95,8 +86,8 @@ def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray):
     shift = e + (16 - x)
     right = np.maximum(-shift, 0).astype(np.uint64)
     left = np.maximum(shift, 0).astype(np.uint64)
-    # right <= 63; when right == 0 the product is below 2**60, so hi == 0
-    # and numpy's shift by 64 (defined as 0) drops nothing.
+    # right <= 62; when right == 0 the product is below 2**60, so hi == 0
+    # and its shift by 64 is 0 however the platform shifts.
     truncated = ((hi << (np.uint64(64) - right)) | (lo >> right)) << left
     rest = lo & ((_ONE << right) - _ONE)
     # Up when rest > half, or rest == half and truncated is odd.
@@ -106,54 +97,50 @@ def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray):
 
 def format_rows(block: np.ndarray) -> str:
     """The CSV text of a 2-d float block: ``'%.17g'`` cells, CRLF rows."""
-    cols = block.shape[1]
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = (a > 1e-11) & (a < 1e17)
-    # Cells outside the range run through as 1.0 (no log10(0), no inf
-    # arithmetic) and are overwritten at the end.
+    # The other cells run through as 1.0 (no log10(0), no inf arithmetic)
+    # and are overwritten at the end.
     a = np.where(fast, a, 1.0)
     frac, exp2 = np.frexp(a)
     m = (frac * 2.0**53).astype(np.uint64)
     e = exp2.astype(np.int64) - 53
     x = np.clip(np.floor(np.log10(a)).astype(np.int64), _X_MIN, _X_MAX)
     truncated, d = _round_digits(m, e, x)
-    # log10 can be one off next to a power of ten; the truncated digits tell,
-    # not the rounded ones (1e-7 is 9.9999999999999995e-08, not 1e-07).
-    off = (truncated >= _E17).astype(np.int64) - (truncated < _E16)
+    # log10 can be one off next to a power of ten.  The truncated digits tell,
+    # not the rounded ones: 1e-7 is 9.9999999999999995e-08, not 1e-07.
+    off = (truncated >= np.uint64(10**17)).astype(np.int64) - (truncated < np.uint64(10**16))
     bad = np.flatnonzero(off)
     if bad.size:
         x[bad] += off[bad]
         d[bad] = _round_digits(m[bad], e[bad], x[bad])[1]
-    carry = d == _E17
-    d[carry] = _E16
+    carry = d == np.uint64(10**17)
+    d[carry] = np.uint64(10**16)
     x += carry
 
+    # Chunk indices go to uint32 words 1-5 of a slot, so Z[j] is byte 3 + j.
     upper = (d // np.uint64(10**8)).astype(np.intp)
     lower = d.astype(np.intp) - upper * 10**8
-    # Chunk indices in uint32 words 1-5 of the slot: Z[j] lands at byte 3 + j.
     chunks = np.zeros((v.size, _WIDTH // 4), dtype=np.intp)
     chunks[:, 1] = upper // 10**8
-    rest = upper - chunks[:, 1] * 10**8
-    chunks[:, 2] = rest // 10**4
-    chunks[:, 3] = rest - chunks[:, 2] * 10**4
+    chunks[:, 2] = upper // 10**4 % 10**4
+    chunks[:, 3] = upper % 10**4
     chunks[:, 4] = lower // 10**4
-    chunks[:, 5] = lower - chunks[:, 4] * 10**4
+    chunks[:, 5] = lower % 10**4
     sig = _CHUNK_END[0].take(chunks[:, 1])
     for i in range(1, 5):
         np.maximum(sig, _CHUNK_END[i].take(chunks[:, i + 1]), out=sig)
     key = ((x - _X_MIN) * 17 + sig - 1) * 2 + np.signbit(v)
 
     digits = _CHUNK_DIGITS.take(chunks).view(np.uint64)
-    # The same digits one byte on (byte 31 of a slot is always zero).
-    shifted = np.empty_like(digits)
+    shifted = np.zeros_like(digits)  # the digits one byte on
     shifted.view(np.uint8).ravel()[1:] = digits.view(np.uint8).ravel()[:-1]
-    shifted.view(np.uint8).ravel()[0] = 0
     out = _TEXT.take(key, axis=0)
     out += digits & _BEFORE.take(key, axis=0)
     out += shifted & _AFTER.take(key, axis=0)
     out = out.view(np.uint8)
-    out[cols - 1 :: cols, _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
+    out[block.shape[1] - 1 :: block.shape[1], _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = np.array(["%.17g" % c for c in v[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
