@@ -1,14 +1,12 @@
 """CSV rows of ``'%.17g'`` cells, formatted by integer arithmetic on arrays.
 
-A finite double v with 1e-11 < |v| < 1e17 is |v| = M * 2**E with an integer
-M < 2**53.  With X = floor(log10 |v|) in [-11, 16] and k = 16 - X in [0, 27],
-its 17 significant digits are D = round(M * 5**k * 2**(E + k)).  The product
-M * 5**k < 2**116 is formed exactly as two uint64 words from 32-bit limbs,
-and the shift by 2**(E + k) keeps the remainder, so D is rounded half to even
-on the exact value, as ``'%.17g'`` rounds.  Every other cell (0, -0, inf,
-nan and the magnitudes outside the range) is formatted by ``'%.17g' % v``.
+``paths._write_table`` states why the digits are exact and which cells fall
+back to Python's formatting.  Here M * 5**k is formed as two uint64 words
+from 32-bit limbs, and the digits are laid out by per-exponent tables.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -17,62 +15,61 @@ _ONE, _U32, _LOW32 = np.uint64(1), np.uint64(32), np.uint64(0xFFFFFFFF)
 _POW5 = np.array([5 ** (16 - x) for x in range(_X_MIN, _X_MAX + 1)], dtype=np.uint64)
 _POW5_LO, _POW5_HI = _POW5 & _LOW32, _POW5 >> _U32
 
-# D is read as five chunks of four digits, the first of them "000d".
-# _CHUNK_DIGITS[c] holds the four digit values of c as one uint32, bytes in
-# reading order; _CHUNK_END[i][c] is one past the last nonzero digit of chunk
-# i among D's 17 digits (0 for c == 0).
-_C = np.arange(10000)
-_CHUNK_DIGITS = (
-    np.stack([_C // 1000, _C // 100 % 10, _C // 10 % 10, _C % 10], axis=1)
-    .astype(np.uint8)
-    .view(np.uint32)
-    .ravel()
-)
-_C_END = 4 - (_C % 10 == 0) - (_C % 100 == 0) - (_C % 1000 == 0)
-_CHUNK_END = [np.where(_C > 0, start + _C_END, 0) for start in (-3, 1, 5, 9, 13)]
-
-# A cell is written into a slot of 32 bytes, and zero bytes are dropped when
-# the block is joined.  With Z = "0000" followed by D's digits, a cell reads
-# Z[start:end] with a decimal point after Z[point], so the "0.000" of
-# 1e-4 <= |v| < 1 comes from Z's leading zeros.  Z[j] is byte 3 + j before
-# the point and byte 4 + j after it; the sign is byte 0, "e-XX" bytes 25-28
-# and the separator bytes 29-30.  Per (X, significant digits, sign), _TEXT
-# holds every byte but the digit values, with '0' where a digit is kept, so a
-# stripped trailing zero stays a zero byte; _BEFORE and _AFTER select the
-# digit bytes on either side of the point.
-_WIDTH, _SEP = 32, 29
+_WIDTH, _SEP = 32, 29  # bytes per cell slot; where its separator starts
 _FALLBACK_WIDTH = 24  # the longest '%.17g' text: -2.2250738585072014e-308
 
 
-def _layout(x: int, sig: int, negative: int) -> tuple[bytes, bytes, bytes]:
-    sci = x < -4
-    point = 4 if sci else 4 + x
-    start, end = min(point, 4), 4 + max(sig, point - 3)
-    text, before, after = bytearray(_WIDTH), bytearray(_WIDTH), bytearray(_WIDTH)
-    text[0] = ord("-") * negative
-    for j in range(start, end):
-        at = 3 + j + (j > point)
-        text[at] = ord("0")
-        (before if j <= point else after)[at] = 0xFF
-    if end > point + 1:
-        text[4 + point] = ord(".")
-    if sci:
-        text[_SEP - 4 : _SEP] = b"e-%02d" % -x
-    text[_SEP] = ord(",")
-    return bytes(text), bytes(before), bytes(after)
+# The tables are built on first use: importing the module allocates nothing.
+@functools.cache
+def _chunk_tables() -> tuple[np.ndarray, np.ndarray]:
+    """D is read as five chunks of four digits, the first of them "000d".
+
+    Returns the four digit values of each c in 0..9999 as one uint32 (bytes
+    in reading order), and ends[i, c], one past the last nonzero digit of
+    chunk i among D's 17 digits (0 for c == 0).
+    """
+    c = np.arange(10000, dtype=np.int16)
+    digits = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
+    zeros = (c % 10 == 0).astype(np.int16) + (c % 100 == 0) + (c % 1000 == 0)
+    starts = np.array([1, 5, 9, 13, 17], dtype=np.int16)[:, None]  # chunk ends
+    ends = np.where(c > 0, starts - zeros, 0).astype(np.uint8)
+    return digits.astype(np.uint8).view(np.uint32).ravel(), ends
 
 
-_TEXT, _BEFORE, _AFTER = (
-    np.frombuffer(b"".join(rows), dtype=np.uint64).reshape(-1, _WIDTH // 8)
-    for rows in zip(
-        *(
-            _layout(x, sig, negative)
-            for x in range(_X_MIN, _X_MAX + 1)
-            for sig in range(1, 18)
-            for negative in (0, 1)
+@functools.cache
+def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The bytes of a cell slot but its digit values, per (X, digits, sign).
+
+    A cell is written into a slot of 32 bytes, and zero bytes are dropped
+    when the block is joined.  With Z = "0000" followed by D's digits, a cell
+    reads Z[start:end] with a decimal point after Z[point], so the "0.000" of
+    1e-4 <= |v| < 1 comes from Z's leading zeros.  Z[j] is byte 3 + j before
+    the point and byte 4 + j after it; the sign is byte 0, "e-XX" bytes
+    25-28 and the separator bytes 29-30.  ``text`` has '0' where a digit is
+    kept, so a stripped trailing zero stays a zero byte; ``before`` and
+    ``after`` select the digit bytes on either side of the point.
+    """
+    x, sig, negative = (
+        key.ravel()[:, None]
+        for key in np.meshgrid(
+            np.arange(_X_MIN, _X_MAX + 1), np.arange(1, 18), (0, 1), indexing="ij"
         )
     )
-)
+    sci = x < -4
+    point = np.where(sci, 4, 4 + x)
+    j = np.arange(21)
+    kept = (j >= np.minimum(point, 4)) & (j < 4 + np.maximum(sig, point - 3))
+    row, at = np.arange(x.size)[:, None], 3 + j + (j > point)
+    text, before, after = (np.zeros((x.size, _WIDTH), dtype=np.uint8) for _ in range(3))
+    text[row, at] = kept * ord("0")
+    before[row, at] = (kept & (j <= point)) * 0xFF
+    after[row, at] = (kept & (j > point)) * 0xFF
+    text[row, 4 + point] = (kept & (j > point)).any(axis=1, keepdims=True) * ord(".")
+    text[:, :1] = negative * ord("-")
+    e_xx = [0 * x + ord("e"), 0 * x + ord("-"), ord("0") + -x // 10, ord("0") + -x % 10]
+    text[:, _SEP - 4 : _SEP] = sci * np.hstack(e_xx)
+    text[:, _SEP] = ord(",")
+    return tuple(table.view(np.uint64) for table in (text, before, after))
 
 
 def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray):
@@ -86,7 +83,7 @@ def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray):
     shift = e + (16 - x)
     right = np.maximum(-shift, 0).astype(np.uint64)
     left = np.maximum(shift, 0).astype(np.uint64)
-    # right <= 62; when right == 0 the product is below 2**60, so hi == 0
+    # right <= 63; when right == 0 the product is below 2**60, so hi == 0
     # and its shift by 64 is 0 however the platform shifts.
     truncated = ((hi << (np.uint64(64) - right)) | (lo >> right)) << left
     rest = lo & ((_ONE << right) - _ONE)
@@ -128,17 +125,19 @@ def format_rows(block: np.ndarray) -> str:
     chunks[:, 3] = upper % 10**4
     chunks[:, 4] = lower // 10**4
     chunks[:, 5] = lower % 10**4
-    sig = _CHUNK_END[0].take(chunks[:, 1])
+    chunk_digits, chunk_ends = _chunk_tables()
+    sig = chunk_ends[0].take(chunks[:, 1])
     for i in range(1, 5):
-        np.maximum(sig, _CHUNK_END[i].take(chunks[:, i + 1]), out=sig)
+        np.maximum(sig, chunk_ends[i].take(chunks[:, i + 1]), out=sig)
     key = ((x - _X_MIN) * 17 + sig - 1) * 2 + np.signbit(v)
 
-    digits = _CHUNK_DIGITS.take(chunks).view(np.uint64)
+    digits = chunk_digits.take(chunks).view(np.uint64)
     shifted = np.zeros_like(digits)  # the digits one byte on
     shifted.view(np.uint8).ravel()[1:] = digits.view(np.uint8).ravel()[:-1]
-    out = _TEXT.take(key, axis=0)
-    out += digits & _BEFORE.take(key, axis=0)
-    out += shifted & _AFTER.take(key, axis=0)
+    text, before, after = _layouts()
+    out = text.take(key, axis=0)
+    out += digits & before.take(key, axis=0)
+    out += shifted & after.take(key, axis=0)
     out = out.view(np.uint8)
     out[block.shape[1] - 1 :: block.shape[1], _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
     slow = np.flatnonzero(~fast)

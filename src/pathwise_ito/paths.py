@@ -457,7 +457,7 @@ def _format(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-_CELLS_PER_WRITE = 16384
+_CELLS_PER_WRITE = 4096
 
 
 def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
