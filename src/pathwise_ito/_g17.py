@@ -142,7 +142,7 @@ def format_rows(block: np.ndarray) -> str:
     out[block.shape[1] - 1 :: block.shape[1], _SEP : _SEP + 2] = (ord("\r"), ord("\n"))
     slow = np.flatnonzero(~fast)
     if slow.size:
-        text = np.array(["%.17g" % c for c in v[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
+        fallback = np.array(["%.17g" % c for c in v[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
         out[slow, :_SEP] = 0
-        out[slow, :_FALLBACK_WIDTH] = text.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
+        out[slow, :_FALLBACK_WIDTH] = fallback.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
     return out.tobytes().translate(None, b"\0").decode("ascii")

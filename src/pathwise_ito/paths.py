@@ -457,6 +457,7 @@ def _format(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# About 330 bytes of temporaries a cell: 4096-cell blocks stay in cache.
 _CELLS_PER_WRITE = 4096
 
 

@@ -168,8 +168,8 @@ def test_table_writer_matches_csv_writer_on_special_values():
     special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.nan, np.inf, -np.inf,
                1e300, -1e-300, 0.1, 1.0 / 3.0, 2.0**53, 123456789.0]
     rng = np.random.default_rng(5)
-    table = rng.choice(special, size=(5000, 7))  # crosses several row blocks
-    table[:, 0] = rng.standard_normal(5000)
+    table = rng.choice(special, size=(1100, 7))  # crosses several row blocks
+    table[:, 0] = rng.standard_normal(1100)
     header = ["t"] + [f"x{i}" for i in range(1, 7)]
     ref = io.StringIO()
     writer = csv.writer(ref)
