@@ -13,46 +13,29 @@ stderr.  Relative output paths resolve against $PATHWISE_ITO_OUT_DIR.
 Exit codes: 0 success, 1 domain failure (including a NaN or infinite
 term) or convergence-gate failure, 2 bad input (I/O, CSV, JSON, config).
 All numbers print with 17 significant digits so outputs are bit-stable
-across runs.
+across runs.  Each subcommand imports only the modules it runs.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
 
 import numpy as np
 
-from .config import (
-    ExperimentConfig,
-    build_components,
-    build_functional,
-    default_num_levels,
-    load_config,
-    partition_for,
-    resolve_path,
-)
-from .ito import (
-    AdmissibleIntegrand,
-    HypothesisError,
-    associativity_check,
-    ito_formula_report,
-    ito_integral,
-)
-from .pathgen import GeneratorSpec, generate
 from .paths import (
     DomainError,
+    HypothesisError,
     PartitionSequence,
     PathFormatError,
     _format,
     _write_table,
+    default_num_levels,
     default_output_dir,
     load_sampled_path,
     write_path_csv,
 )
-from .qv import _level_gap, _table_pairs, qv_converged, qv_matrix
 
 
 def _say(message: str) -> None:
@@ -74,7 +57,7 @@ def _open_output(dest: str | None):
         yield fh
 
 
-def _resolve_dest(args, config: ExperimentConfig | None) -> str | None:
+def _resolve_dest(args, config) -> str | None:
     if args.output is not None:
         return args.output
     if config is not None and config.output is not None:
@@ -87,6 +70,8 @@ def _resolve_dest(args, config: ExperimentConfig | None) -> str | None:
 
 
 def _cmd_gen(args) -> int:
+    from .pathgen import GeneratorSpec, generate
+
     spec = GeneratorSpec(
         kind=args.kind,
         base_points=args.n,
@@ -108,6 +93,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_qv(args) -> int:
+    from .qv import _level_gap, _table_pairs, qv_converged, qv_matrix
+
     x = load_sampled_path(args.input)
     levels = args.levels if args.levels is not None else default_num_levels(x.n_points)
     part = PartitionSequence(x.times, num_levels=levels)
@@ -134,6 +121,8 @@ def _cmd_qv(args) -> int:
 
 
 def _experiment_objects(args):
+    from .config import build_components, load_config, partition_for, resolve_path
+
     config = load_config(args.config)
     x = resolve_path(config)
     part = partition_for(config, x)
@@ -142,6 +131,9 @@ def _experiment_objects(args):
 
 
 def _cmd_integrate(args) -> int:
+    from .config import build_functional
+    from .ito import AdmissibleIntegrand, ito_integral
+
     config, x, part, a = _experiment_objects(args)
     if config.functional is None:
         raise ValueError("integrate needs a 'functional' entry in the config")
@@ -162,6 +154,9 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_ito_check(args) -> int:
+    from .config import build_functional
+    from .ito import ito_formula_report
+
     config, x, part, a = _experiment_objects(args)
     if config.functional is None:
         raise ValueError("ito-check needs a 'functional' entry in the config")
@@ -179,6 +174,9 @@ def _cmd_ito_check(args) -> int:
 
 
 def _cmd_assoc_check(args) -> int:
+    from .config import build_functional
+    from .ito import AdmissibleIntegrand, associativity_check
+
     config, x, part, a = _experiment_objects(args)
     if config.outer is None or not config.integrands:
         raise ValueError("assoc-check needs 'outer' and 'integrands' in the config")
@@ -197,20 +195,12 @@ def _cmd_assoc_check(args) -> int:
         tol=config.tolerance,
         qv_gate_tol=config.qv_gate_tol,
     )
+    terms = (rep.levels, rep.lhs_at_T, rep.rhs_at_T, np.abs(rep.residuals_at_T))
+    cells = np.column_stack(terms)
     with _open_output(_resolve_dest(args, config)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "lhs", "rhs", "abs_residual", "ratio"])
-        for row, level in enumerate(rep.levels):
-            ratio = "" if row == 0 else _format(rep.ratios[row - 1])
-            writer.writerow(
-                [
-                    str(level),
-                    _format(rep.lhs_at_T[row]),
-                    _format(rep.rhs_at_T[row]),
-                    _format(abs(rep.residuals_at_T[row])),
-                    ratio,
-                ]
-            )
+        # the first level has no ratio, so it is written with the header
+        fh.write("level,lhs,rhs,abs_residual,ratio\r\n")
+        _write_table(fh, [*map(_format, cells[0]), ""], np.column_stack([cells[1:], rep.ratios]))
     _say(f"gate residual (relative): {_format(rep.qv_report.relative)}")
     return 0
 

@@ -43,7 +43,6 @@ differentiating the formula for you.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -67,6 +66,7 @@ from .paths import (
     PartitionSequence,
     SampledPath,
     concat_components,
+    default_num_levels,
     load_sampled_path,
     positive_orthant,
 )
@@ -251,11 +251,6 @@ def resolve_path(config: ExperimentConfig) -> SampledPath:
     if src.positive:
         x = SampledPath(x.times, x.values, x.interpolation, positive_orthant(x.d))
     return x
-
-
-def default_num_levels(n_points: int) -> int:
-    """Deepest dyadic thinning that still halves: floor(log2(#cells))."""
-    return max(1, int(math.floor(math.log2(max(n_points - 1, 2)))))
 
 
 def partition_for(config: ExperimentConfig, x: SampledPath) -> PartitionSequence:

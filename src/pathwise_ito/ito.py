@@ -42,6 +42,7 @@ from .functionals import Functional, _state_slot, compose
 from .paths import (
     BVPath,
     DomainError,
+    HypothesisError,
     LINEAR,
     PartitionSequence,
     SampledPath,
@@ -56,15 +57,6 @@ from .reduction import map_chunked, running_sum
 from .stieltjes import cumulative_stieltjes, measures_with_clock
 
 _TINY = 1e-30
-
-
-class HypothesisError(RuntimeError):
-    """A numerically checked hypothesis of an identity failed its gate."""
-
-    def __init__(self, message: str, residual: float, tol: float) -> None:
-        super().__init__(message)
-        self.residual = residual
-        self.tol = tol
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -40,6 +41,15 @@ class GridError(ValueError):
 
 class PathFormatError(ValueError):
     """Malformed path CSV input."""
+
+
+class HypothesisError(RuntimeError):
+    """A numerically checked hypothesis of an identity failed its gate."""
+
+    def __init__(self, message: str, residual: float, tol: float) -> None:
+        super().__init__(message)
+        self.residual = residual
+        self.tol = tol
 
 
 @dataclass(frozen=True)
@@ -357,6 +367,11 @@ class PartitionSequence:
         return float(pts[i])
 
 
+def default_num_levels(n_points: int) -> int:
+    """Deepest dyadic thinning that still halves: floor(log2(#cells))."""
+    return max(1, int(math.floor(math.log2(max(n_points - 1, 2)))))
+
+
 # ---------------------------------------------------------------------------
 # Path operations
 
@@ -494,16 +509,49 @@ def write_path_csv(path: SampledPath, dest, prefix: str = "x") -> None:
 
 
 def read_path_table(src) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    close = False
-    if not hasattr(src, "read"):
-        src = open(src, "r", newline="")
-        close = True
+    """Times, values and component names of a path CSV (a file name or stream).
+
+    ``csv.reader`` and ``float()`` on every cell define the format.  The body
+    is parsed by numpy's C reader, which converts each cell with CPython's own
+    correctly rounded string-to-double, so it gives the values ``float()``
+    gives.  A file that reader refuses (quoted cells, ``1_0``, lone-CR line
+    ends, malformed rows), or with a line past ``csv``'s field size limit, is
+    read again cell by cell, so its values and errors are the ``csv`` ones.
+    """
+    if hasattr(src, "read"):
+        text = src.read()
+    else:
+        with open(src, "r", newline="") as fh:
+            text = fh.read()
+    return _read_table_fast(text) or _read_table_csv(io.StringIO(text, newline=""))
+
+
+def _read_table_fast(text: str):
+    lines = text.split("\n")
+    head = lines[0].removesuffix("\r")
+    header = [h.strip() for h in head.split(",")]
+    body = lines[1:]
+    # Leave to csv: quoted or CR-split headers, bodies of blank lines (which
+    # loadtxt warns about) and lines long enough to hold a cell past csv's limit.
+    if '"' in head or "\r" in head or header[0] != "t" or not any(map(str.strip, body)):
+        return None
+    if max(map(len, body)) > csv.field_size_limit():
+        return None
     try:
-        reader = csv.reader(src)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PathFormatError("empty path file") from None
+        table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[0] < 2 or table.shape[1] != len(header):
+        return None
+    return table[:, 0], table[:, 1:], header[1:]
+
+
+def _read_table_csv(src) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    reader = csv.reader(src)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise PathFormatError("empty path file")
         header = [h.strip() for h in header]
         if not header or header[0] != "t":
             raise PathFormatError("first CSV column must be 't'")
@@ -521,12 +569,11 @@ def read_path_table(src) -> tuple[np.ndarray, np.ndarray, list[str]]:
                 raise PathFormatError(f"line {lineno}: {exc}") from None
             times.append(nums[0])
             rows.append(nums[1:])
-        if len(times) < 2:
-            raise PathFormatError("a path file needs at least two samples")
-        return np.asarray(times), np.asarray(rows), header[1:]
-    finally:
-        if close:
-            src.close()
+    except csv.Error as exc:
+        raise PathFormatError(f"line {reader.line_num}: {exc}") from None
+    if len(times) < 2:
+        raise PathFormatError("a path file needs at least two samples")
+    return np.asarray(times), np.asarray(rows), header[1:]
 
 
 def load_sampled_path(

@@ -154,6 +154,17 @@ def test_qv_overflow_prints_only_the_error_line(tmp_path):
     assert not out.exists()
 
 
+def test_qv_oversized_cell_is_an_input_error(tmp_path):
+    # a cell past csv's field size limit (131072 characters) is malformed
+    # input: exit 2 with one error line, not a csv traceback
+    p = tmp_path / "big.csv"
+    p.write_text("t,x1\n0,0\n0.5," + "0" * 131073 + "1\n1,2\n")
+    proc = _subprocess_cli(["qv", "-i", str(p), "--levels", "1"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: line 3: field larger than field limit (131072)\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("levels", ["1", "3"])
 def test_qv_overflow_exits_one_at_any_level_count(levels, tmp_path, capsys):
