@@ -26,14 +26,14 @@ _MODULE_OF = {
         ),
         "ito": (
             "AdmissibleIntegrand AssocReport AugmentedSystem CorollaryReport "
-            "FormulaReport HypothesisError IntegralResult QvIdentityReport "
+            "FormulaReport IntegralResult QvIdentityReport "
             "associativity_check augment build_Y corollary_decomposition "
             "ito_formula_report ito_integral qv_of_Y_check"
         ),
         "pathgen": "GeneratorSpec generate",
         "paths": (
-            "LINEAR STEP Box BVPath DomainError GridError PartitionSequence "
-            "PathFormatError SampledPath concat_components load_bv_path "
+            "LINEAR STEP Box BVPath DomainError GridError HypothesisError "
+            "PartitionSequence PathFormatError SampledPath concat_components load_bv_path "
             "load_sampled_path sup_distance path_to_csv_text positive_orthant "
             "pre_step stepped_approx stop write_path_csv"
         ),

@@ -526,7 +526,7 @@ def read_path_table(src) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return _read_table_fast(text) or _read_table_csv(io.StringIO(text, newline=""))
 
 
-def _read_table_fast(text: str):
+def _read_table_fast(text: str) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
     lines = text.split("\n")
     head = lines[0].removesuffix("\r")
     header = [h.strip() for h in head.split(",")]
