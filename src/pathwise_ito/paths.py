@@ -527,12 +527,16 @@ def read_path_table(src) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 def _read_table_fast(text: str) -> tuple[np.ndarray, np.ndarray, list[str]] | None:
+    # Left to csv: the separators \x1c-\x1f (loadtxt strips them as whitespace,
+    # float() refuses them), quoted or CR-split headers, bodies of blank lines
+    # (which loadtxt warns about) and lines long enough to hold a cell past
+    # csv's limit.
+    if any(c in text for c in "\x1c\x1d\x1e\x1f"):
+        return None
     lines = text.split("\n")
     head = lines[0].removesuffix("\r")
     header = [h.strip() for h in head.split(",")]
     body = lines[1:]
-    # Leave to csv: quoted or CR-split headers, bodies of blank lines (which
-    # loadtxt warns about) and lines long enough to hold a cell past csv's limit.
     if '"' in head or "\r" in head or header[0] != "t" or not any(map(str.strip, body)):
         return None
     if max(map(len, body)) > csv.field_size_limit():

@@ -136,6 +136,8 @@ _CORRUPTIONS = {
     "trailing comma": lambda rows, i: rows[:i] + [rows[i][:-1] + [rows[i][-1] + ","]] + rows[i + 1 :],
     "comment line": lambda rows, i: rows[:i] + [["# a comment"]] + rows[i:],
     "non-numeric cell": lambda rows, i: rows[:i] + [rows[i][:-1] + ["abc"]] + rows[i + 1 :],
+    # str.isspace() holds for \x1c-\x1f, but float() does not strip them
+    "separator in a cell": lambda rows, i: rows[:i] + [rows[i][:-1] + [rows[i][-1] + "\x1e"]] + rows[i + 1 :],
     "header only": lambda rows, i: [],
     "one row": lambda rows, i: rows[:1],
 }
