@@ -93,13 +93,13 @@ _ending = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
-def _files(draw, min_rows=2):
+def _files(draw):
     """(header cells, body rows as cell lists, line ending, blank lines, final newline)."""
     width = draw(st.integers(1, 4))
     header = ["t"] + [f"x{i + 1}" for i in range(width - 1)]
     if draw(st.booleans()):
         header = [f" {h} " for h in header]
-    rows = draw(st.lists(st.lists(_cell, min_size=width, max_size=width), min_size=min_rows, max_size=8))
+    rows = draw(st.lists(st.lists(_cell, min_size=width, max_size=width), min_size=2, max_size=8))
     ending = draw(_ending)
     blanks = draw(st.lists(st.integers(0, len(rows)), max_size=3))
     final = draw(st.booleans())
