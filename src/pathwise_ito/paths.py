@@ -515,8 +515,9 @@ def read_path_table(src) -> tuple[np.ndarray, np.ndarray, list[str]]:
     is parsed by numpy's C reader, which converts each cell with CPython's own
     correctly rounded string-to-double, so it gives the values ``float()``
     gives.  A file that reader refuses (quoted cells, ``1_0``, lone-CR line
-    ends, malformed rows), or with a line past ``csv``'s field size limit, is
-    read again cell by cell, so its values and errors are the ``csv`` ones.
+    ends, malformed rows) or could read differently (the separators
+    ``\\x1c``-``\\x1f``, a line past ``csv``'s field size limit) is read
+    again cell by cell, so its values and errors are the ``csv`` ones.
     """
     if hasattr(src, "read"):
         text = src.read()
