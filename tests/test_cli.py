@@ -176,6 +176,23 @@ def test_qv_overflow_exits_one_at_any_level_count(levels, tmp_path, capsys):
     assert err == "error: non-finite qv_11, qv_12 at level 1, grid time 0.25\n"
 
 
+# x = i * a on 9 points with 32 a^2 < float max < 36 a^2: the squared
+# increments of levels 2 and up stay finite, but level 1 (one cell) overflows
+# from grid time 0.75 on
+MONOTONE_ROWS = "t,x1\n" + "".join(f"{i / 8!r},{i * 2.3e153!r}\n" for i in range(9))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("levels", ["4", "5"])
+def test_qv_overflow_at_a_coarse_level_only_exits_one(levels, tmp_path, capsys):
+    p = tmp_path / "mono.csv"
+    p.write_text(MONOTONE_ROWS)
+    code, out, err = _run(["qv", "-i", str(p), "--levels", levels], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: non-finite qv_11 at level 1, grid time 0.75\n"
+
+
 def test_qv_missing_input_is_an_io_error(capsys, tmp_path):
     code, _, err = _run(["qv", "-i", str(tmp_path / "nope.csv")], capsys)
     assert code == 2

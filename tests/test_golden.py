@@ -23,6 +23,10 @@ CASES = {
     "qv_d5.csv": ["qv", "-i", str(GOLDEN / "gen_d5.csv")],
     "qv_d5_levels2.csv": ["qv", "-i", str(GOLDEN / "gen_d5.csv"), "--levels", "2"],
     "qv_d5_levels1.csv": ["qv", "-i", str(GOLDEN / "gen_d5.csv"), "--levels", "1"],
+    # 300 points: no stride divides the 299 cells, and at 12 levels the
+    # coarsest strides pass the grid, so those levels degrade to {0, T}.
+    "qv_n300_d4.csv": ["qv", "-i", str(GOLDEN / "path_n300_d4.csv")],
+    "qv_n300_d4_levels12.csv": ["qv", "-i", str(GOLDEN / "path_n300_d4.csv"), "--levels", "12"],
     "integrate_d1.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d1.json")],
     "ito_check_d1.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d1.json")],
     "integrate_d3.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d3.json")],
@@ -44,3 +48,14 @@ def test_cli_output_matches_golden_bytes(name, tmp_path, capsys):
     assert cli_main(CASES[name] + ["-o", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_path_n300_d4_is_the_head_of_a_gen_path(tmp_path, capsys):
+    # gen only writes power-of-two grids; this input keeps the first 300
+    # rows of one
+    out = tmp_path / "g.csv"
+    argv = ["gen", "--kind", "brownian", "--n", "512", "--d", "4", "--seed", "13"]
+    assert cli_main(argv + ["-o", str(out)]) == 0
+    capsys.readouterr()
+    head = out.read_bytes().splitlines(keepends=True)[:301]
+    assert b"".join(head) == (GOLDEN / "path_n300_d4.csv").read_bytes()
