@@ -99,7 +99,12 @@ def _cmd_qv(args) -> int:
     levels = args.levels if args.levels is not None else default_num_levels(x.n_points)
     part = PartitionSequence(x.times, num_levels=levels)
     if levels >= 3:
-        rep = qv_converged(x, part)
+        # Every squared difference of an x_i + x_j is at most 16 B^2, so with
+        # 16 N B^2 < 2^1000 no level sum, entry or gap can overflow.  The
+        # output reads only the last two levels; the diagnostics take three.
+        b = float(np.max(np.abs(x.values)))
+        last = (levels - 2, levels - 1, levels) if 16 * x.n_points * b * b < 2.0**1000 else None
+        rep = qv_converged(x, part, levels=last)
         finest, level_diff = rep.matrices, rep.last_gap
     else:
         finest = qv_matrix(x, part, levels).matrices

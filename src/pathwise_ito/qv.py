@@ -23,6 +23,15 @@ runs on all of them in one set of array operations.  Each column keeps the
 one-column arithmetic and summation order, so the batch gives the same bits
 as running the columns one by one.
 
+A level allocates no (k, N) temporaries beyond its output.  The anchors
+0, s, 2s, ... of stride s are the strided view ``cols[:, 0:N-1:s]``, not a
+gather; the full cells are the grid reshaped to (k, cells, s) and broadcast
+against them, and the partial last cell and the endpoint are two slices.
+Nothing is repeated per grid point.  The squared level increments are
+cumulated in place in one (k, cells + 1) array, and :func:`qv_converged`
+alternates two (k, N) buffers: the gap between two levels is computed in
+the older one, which then receives the next level.
+
 All reductions run in a fixed order (see reduction.py), so repeated runs
 produce bit-identical results.  A matrix whose sums overflow is never
 reported: qv_matrix and qv_converged raise DomainError naming the entry,
@@ -35,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import DomainError, PartitionSequence, SampledPath, _require_same_grid
-from .reduction import running_sum
 from .stieltjes import StieltjesMeasure
 
 
@@ -76,7 +84,10 @@ def _entry_rows(d: int) -> np.ndarray:
 
 def _unpack(entries: np.ndarray, d: int) -> np.ndarray:
     """Packed (k, M) entries as (M, d, d) symmetric matrices."""
-    return np.ascontiguousarray(entries[_entry_rows(d)].transpose(2, 0, 1))
+    out = np.empty((entries.shape[1], d, d))
+    for i, rows in enumerate(_entry_rows(d)):  # one matrix row at a time
+        out[:, i] = entries[rows].T
+    return out
 
 
 def _qv_matrix_arrays(
@@ -86,6 +97,7 @@ def _qv_matrix_arrays(
     level: int,
     paths: bool = True,
     increments: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Packed (k, N) entry paths and (k, N-1) per-cell entry increments.
 
@@ -94,31 +106,45 @@ def _qv_matrix_arrays(
     Every row gets the one-component computation: the increment over a base
     cell [u, u'] inside the partition cell starting at s is
     (x(u') - x(s))^2 - (x(u) - x(s))^2, which telescopes over a full
-    partition cell to the squared partition increment.  Overflow yields
-    non-finite entries without a warning; callers that report entries check
-    them.
+    partition cell to the squared partition increment.  The paths are
+    written into ``out``, a (k, N) float64 array, when one is given.
+    Overflow yields non-finite entries without a warning; callers that
+    report entries check them.
     """
-    idx = partition.indices(level)
-    reps = np.diff(idx, append=cols.shape[1])  # grid points per anchor
-    v = cols[:, idx]
-    path = inc = None
+    k, n = cols.shape
+    s = partition.stride(level)
+    q = (n - 1) // s  # full cells; a partial last cell starts at q * s
+    anchors = cols[:, 0 : n - 1 : s]
+    cells = anchors.shape[1]
+    sq = np.empty((k, n)) if out is None else out
+    full = sq[:, : q * s].reshape(k, q, s)
+    lvl = np.empty((k, cells + 1))  # 0, then the squared level increments
+    inc = None
     with np.errstate(over="ignore", invalid="ignore"):
-        dv2 = np.diff(v, axis=1)
-        dv2 *= dv2
-        sq = cols - np.repeat(v, reps, axis=1)
-        sq *= sq  # squared distance to the cell's anchor
-        if paths:
-            path = np.repeat(running_sum(dv2), reps, axis=1)
-            path += sq
-            _polarize(path, d)
+        lvl[:, 0] = 0.0
+        np.subtract(anchors[:, 1:], anchors[:, :-1], out=lvl[:, 1:cells])
+        np.subtract(cols[:, n - 1], anchors[:, -1], out=lvl[:, cells])
+        lvl *= lvl
+        # squared distance to the cell's anchor; the endpoint anchors itself
+        np.subtract(cols[:, : q * s].reshape(k, q, s), anchors[:, :q, None], out=full)
+        np.subtract(cols[:, q * s : n - 1], cols[:, q * s : q * s + 1], out=sq[:, q * s : n - 1])
+        np.subtract(cols[:, n - 1], cols[:, n - 1], out=sq[:, n - 1])
+        sq *= sq
         if increments:
             inc = sq[:, 1:] - sq[:, :-1]
             # At partition points after the first the anchor changes; the
             # base cell ending there still belongs to the previous anchor.
-            ends = idx[1:] - 1
-            inc[:, ends] = dv2 - sq[:, ends]
+            ends = slice(s - 1, n - 2, s)
+            np.subtract(lvl[:, 1:cells], sq[:, ends], out=inc[:, ends])
+            np.subtract(lvl[:, cells], sq[:, n - 2], out=inc[:, n - 2])
             _polarize(inc, d)
-    return path, inc
+        if paths:
+            np.cumsum(lvl, axis=1, out=lvl)
+            full += lvl[:, :q, None]
+            sq[:, q * s : n - 1] += lvl[:, q : q + 1]
+            sq[:, n - 1] += lvl[:, cells]
+            _polarize(sq, d)
+    return (sq if paths else None), inc
 
 
 def _polarize(a: np.ndarray, d: int) -> None:
@@ -151,9 +177,13 @@ def _require_finite(entries: np.ndarray, d: int, level: int, times: np.ndarray) 
 def _level_gap(
     new: np.ndarray, old: np.ndarray, axis, levels: tuple[int, int], times: np.ndarray
 ) -> np.ndarray:
-    """Per grid time, the largest |new - old| over the entry axes."""
+    """Per grid time, the largest |new - old| over the entry axes.
+
+    ``old`` is overwritten with |new - old|.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        gap = np.max(np.abs(new - old), axis=axis)
+        np.subtract(new, old, out=old)
+        gap = np.max(np.abs(old, out=old), axis=axis)
     ok = np.isfinite(gap)
     if not ok.all():
         k = int(np.argmin(ok))
@@ -173,6 +203,8 @@ def qv_scalar(
 ) -> float:
     """Level-n quadratic variation of one component up to grid time t."""
     _require_same_grid(x, partition)
+    if not 0 <= component < x.d:
+        raise ValueError(f"component must lie in [0, {x.d - 1}]")
     path, _ = _qv_matrix_arrays(x.values[:, component][None, :], 1, partition, level)
     path = path[0]
     if t is None:
@@ -269,14 +301,14 @@ def qv_converged(
     _require_same_grid(x, partition)
     cols = _polarization_columns(x.values)
     diffs = []
-    prev = gap = None
+    prev = spare = gap = None
     for prev_n, n in zip((None,) + levels, levels):
-        entries, _ = _qv_matrix_arrays(cols, x.d, partition, n)
+        entries, _ = _qv_matrix_arrays(cols, x.d, partition, n, out=spare)
         _require_finite(entries, x.d, n, x.times)
         if prev is not None:
             gap = _level_gap(entries, prev, 0, (prev_n, n), x.times)
             diffs.append(float(np.max(gap)))
-        prev = entries
+        spare, prev = prev, entries  # the two (k, N) buffers alternate
     level_diffs = np.asarray(diffs)
     return QVMatrix(
         times=x.times,

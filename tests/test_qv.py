@@ -158,6 +158,16 @@ def test_qv_upper_limit_must_be_on_the_grid():
         qv_scalar(SampledPath(_grid(n), np.zeros(n)), PartitionSequence(_grid(8), 2), 1)
 
 
+@pytest.mark.parametrize("component", [-1, 2, 5])
+def test_qv_scalar_component_must_be_a_column(component):
+    n = 9
+    x = SampledPath(_grid(n), np.stack([_walk(n, seed=3), _walk(n, seed=4)], axis=1))
+    part = PartitionSequence(x.times, num_levels=3)
+    with pytest.raises(ValueError, match=r"component must lie in \[0, 1\]"):
+        qv_scalar(x, part, 2, component=component)
+    assert qv_scalar(x, part, 2, component=1) == qv_matrix(x, part, 2).final()[1, 1]
+
+
 def test_convergence_diagnostics_on_a_seeded_walk():
     n = 2**10 + 1
     times = _grid(n)
