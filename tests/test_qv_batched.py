@@ -156,7 +156,7 @@ def test_batched_qv_matches_the_per_column_reference(case):
 @given(_paths(scales=(1e-3, 1.0, 1e3, 1e150)))
 def test_qv_command_table_matches_the_per_column_reference(case):
     # At scale 1e150 the sums stay far from overflow, but 16 N max|x|^2
-    # passes 2^1000, so qv runs every level instead of the last three.
+    # mostly passes 2^1000, so qv runs every level instead of the last three.
     x, num_levels = case
     with tempfile.TemporaryDirectory() as tmp:
         src, out = os.path.join(tmp, "x.csv"), os.path.join(tmp, "qv.csv")
