@@ -69,8 +69,9 @@ def _polarization_columns(values: np.ndarray) -> np.ndarray:
     n, d = values.shape
     cols = np.empty((d + d * (d - 1) // 2, n), dtype=np.float64)
     cols[:d] = values.T
-    for i, rows in _pair_blocks(d):
-        np.add(cols[i], cols[i + 1 : d], out=cols[rows])
+    with np.errstate(over="ignore"):  # callers report non-finite entries
+        for i, rows in _pair_blocks(d):
+            np.add(cols[i], cols[i + 1 : d], out=cols[rows])
     return cols
 
 

@@ -176,6 +176,20 @@ def test_qv_overflow_exits_one_at_any_level_count(levels, tmp_path, capsys):
     assert err == "error: non-finite qv_11, qv_12 at level 1, grid time 0.25\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("levels, first_bad", [("1", 1), ("2", 2), ("3", 1)])
+def test_qv_overflowing_polarization_sum_prints_only_the_error_line(
+    levels, first_bad, tmp_path, capsys
+):
+    # x1 + x2 = 2e308 overflows while forming the polarization columns
+    p = tmp_path / "sum.csv"
+    p.write_text("t,x1,x2\n0,0,0\n0.5,1e308,1e308\n1,0,0\n")
+    code, out, err = _run(["qv", "-i", str(p), "--levels", levels], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: non-finite qv_11, qv_12, qv_22 at level {first_bad}, grid time 0.5\n"
+
+
 # x = i * a on 9 points with 32 a^2 < float max < 36 a^2: the squared
 # increments of levels 2 and up stay finite, but level 1 (one cell) overflows
 # from grid time 0.75 on
