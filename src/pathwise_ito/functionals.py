@@ -24,7 +24,8 @@ finite-difference functionals mix freely.
 
 A cylinder reads only the state (t, X(t), A(t)), so each of its analytic
 slots also has a form on stacked grid states; :func:`_state_slot` runs it
-on a whole grid at once, without building a stopped path per time.
+on a whole grid at once.  Other routes read stopped, bumped and composed
+paths, which are row-lookup views that build ``values`` only when read.
 """
 from __future__ import annotations
 
@@ -41,6 +42,7 @@ from .paths import (
     LINEAR,
     PartitionSequence,
     SampledPath,
+    _bumped,
     _check_domain,
     _domain_mask,
     stop,
@@ -56,13 +58,6 @@ def _default_vertical_h(x) -> float:
 
 def _default_horizontal_h(x) -> float:
     return 1e-3 * float(x.times[-1])
-
-
-def _ensure_sampled(x):
-    """Materialise lazy composed paths; pass real ones through."""
-    if isinstance(x, SampledPath):
-        return x
-    return x.materialize()
 
 
 class Functional:
@@ -203,13 +198,6 @@ def _state_slot(F: Functional, slot: str, x, a=None, rows=None) -> np.ndarray | 
 # Finite differences
 
 
-def _bumped(x: SampledPath, j: int, i: int, h: float, domain) -> SampledPath:
-    vals = x.values.copy()
-    vals[j:, i] += h
-    _check_domain(vals, domain)
-    return type(x)._trusted(x.times, vals, x.interpolation, x.domain)
-
-
 def fd_vertical(F: Functional, t: float, x, a=None, h: float | None = None) -> np.ndarray:
     """Central difference of F under bumps h e_i 1_[t,T], per component.
 
@@ -218,7 +206,6 @@ def fd_vertical(F: Functional, t: float, x, a=None, h: float | None = None) -> n
     back to a one-sided quotient when one of the two bumps leaves the
     domain; both sides failing is a genuine boundary hit and raises.
     """
-    x = _ensure_sampled(x)
     if h is None:
         h = _default_vertical_h(x)
     j = x.grid_index(t)
@@ -249,7 +236,6 @@ def fd_vertical(F: Functional, t: float, x, a=None, h: float | None = None) -> n
 
 def fd_vertical2(F: Functional, t: float, x, a=None, h: float | None = None) -> np.ndarray:
     """Symmetric second differences; shrinks h near a domain boundary."""
-    x = _ensure_sampled(x)
     if h is None:
         h = _default_vertical_h(x)
     j = x.grid_index(t)
@@ -304,7 +290,6 @@ def fd_horizontal(
     fraction.  The smallest snapped step with |A_k(t+h) - A_k(t)| above a
     tiny guard wins; a flat component is 0 and flagged as underdetermined.
     """
-    x = _ensure_sampled(x)
     if h is None:
         h = _default_horizontal_h(x)
     T = x.horizon
@@ -446,7 +431,7 @@ def cylinder(
 
     Because F reads only the state at t, integrals and sampled derivatives
     call each supplied partial once per grid time on the state there, in
-    O(N) per pass, never on a rebuilt stopped or pre-step path.  Omitted
+    O(N) per pass, never on a stopped or pre-step path.  Omitted
     partials fall back to finite differences on the path.
     """
     horizontal = None
@@ -603,65 +588,6 @@ def product(F: Functional, G: Functional) -> Functional:
     )
 
 
-class _ComposedPath:
-    """Lazy view of t -> (F_1, ..., F_p)(t, X, A), evaluated on demand.
-
-    Composed functionals probe this path at a handful of times per call
-    (one, for cylinder outers), so values are computed and memoised per
-    requested time instead of materialising the whole grid.  Each evaluate
-    call builds its own instance, so the cache is never shared across
-    calls or across different (X, A) pairs.
-    """
-
-    __slots__ = ("times", "interpolation", "_x", "_a", "_inners", "_domain", "_cache", "_full")
-
-    def __init__(self, x, a, inners, domain):
-        self.times = x.times
-        self.interpolation = LINEAR
-        self._x = x
-        self._a = a
-        self._inners = inners
-        self._domain = domain
-        self._cache: dict[float, np.ndarray] = {}
-        self._full = None
-
-    @property
-    def d(self) -> int:
-        return len(self._inners)
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    @property
-    def n_points(self) -> int:
-        return self.times.shape[0]
-
-    def value(self, t: float) -> np.ndarray:
-        key = float(t)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        vec = np.array([f.evaluate(key, self._x, self._a) for f in self._inners])
-        _check_domain(vec[None, :], self._domain)
-        vec.setflags(write=False)
-        self._cache[key] = vec
-        return vec
-
-    def materialize(self) -> SampledPath:
-        """The whole inner path on the base grid, computed once and kept."""
-        if self._full is None:
-            rows = np.empty((self.n_points, self.d))
-            for k, t in enumerate(self.times):
-                rows[k] = self.value(float(t))
-            self._full = SampledPath._trusted(self.times, rows, LINEAR, self._domain)
-        return self._full
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.materialize().values
-
-
 def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = None) -> Functional:
     """H(t, X, (A, B)) = outer(t, (inners)(., X, A), B), with the chain rules.
 
@@ -704,7 +630,25 @@ def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = 
         return a, bb
 
     def _inner_path(x, a):
-        return _ComposedPath(x, a, inners, outer.x_domain)
+        # t -> (inners)(t, X, A), computed and memoised per requested time;
+        # value(t) evaluates the inners at t itself, on the grid or off it.
+        cache: dict[float, np.ndarray] = {}
+
+        def value(t):
+            key = float(t)
+            vec = cache.get(key)
+            if vec is None:
+                vec = np.array([f.evaluate(key, x, a) for f in inners])
+                _check_domain(vec[None, :], outer.x_domain)
+                vec.setflags(write=False)
+                cache[key] = vec
+            return vec
+
+        return SampledPath._make(
+            times=x.times, d=len(inners), interpolation=LINEAR, domain=outer.x_domain,
+            value=value, _row=lambda i: value(x.times[i]),
+            _build=lambda: np.array([value(t) for t in x.times]),
+        )
 
     def _eval(t, x, ab):
         a, bb = _split(x, ab)

@@ -28,8 +28,9 @@ on the grid's (times, X, A) arrays, and a level gathers its left
 partition rows and multiplies them with dX: O(N) per level, the same
 bits as the per-cell sum.  Every other functional (products, compositions,
 the recentered functionals of an augmented system, and any slot that
-falls back to finite differences) is evaluated cell by cell on a rebuilt
-pre-step path, and sampled point by point, at O(N) per cell or point.
+falls back to finite differences) runs cell by cell on a pre-step view of
+X, and is sampled point by point: O(log N) a cell or point if it reads
+only value and left_limit, O(N) if it reads ``.values`` or an FD slot.
 """
 from __future__ import annotations
 
@@ -46,10 +47,10 @@ from .paths import (
     LINEAR,
     PartitionSequence,
     SampledPath,
+    _frozen_from,
     _grid_index,
-    _pre_step_from_arrays,
     _require_same_grid,
-    _stepped_values,
+    _stepped,
     concat_components,
 )
 from .qv import qv_converged, qv_matrix, qv_measures
@@ -191,10 +192,10 @@ def ito_integral(
                     for j in range(lo, hi):
                         out[j] = float(np.dot(xi.xi(float(pts[j]), x), dx[j]))
             else:
-                stepped = _stepped_values(x, partition, n)
+                stepped = _stepped(x, partition, n)
                 def fill(lo, hi, out):
                     for j in range(lo, hi):
-                        pre = _pre_step_from_arrays(x, stepped, int(idx[j]))
+                        pre = _frozen_from(stepped, idx[j], x._row(idx[j]))
                         out[j] = float(np.dot(xi.xi(float(pts[j]), pre), dx[j]))
             terms = map_chunked(fill, np.empty(idx.shape[0] - 1))
         bad = np.flatnonzero(~np.isfinite(terms))

@@ -132,6 +132,9 @@ class SampledPath:
     component.  If ``domain`` is given, every grid value must lie inside it
     (a violation raises :class:`DomainError` at construction, which is what
     makes one-sided finite differences near a boundary detectable).
+
+    A stopped, pre-step, bumped or composed path is a view: it looks its
+    rows up in its source and builds ``values`` only when they are read.
     """
 
     times: np.ndarray
@@ -159,6 +162,7 @@ class SampledPath:
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "d", v.shape[1])
 
     def _check_extra(self, values: np.ndarray) -> None:
         pass
@@ -173,17 +177,29 @@ class SampledPath:
     ) -> "SampledPath":
         # Internal constructor for derived paths whose grid was already
         # validated and whose values are drawn from an accepted path.
-        obj = object.__new__(cls)
         values.setflags(write=False)
-        object.__setattr__(obj, "times", times)
-        object.__setattr__(obj, "values", values)
-        object.__setattr__(obj, "interpolation", interpolation)
-        object.__setattr__(obj, "domain", domain)
+        return cls._make(times=times, values=values, d=values.shape[1],
+                         interpolation=interpolation, domain=domain)
+
+    @classmethod
+    def _make(cls, **attrs) -> "SampledPath":
+        obj = object.__new__(cls)
+        obj.__dict__.update(attrs)  # frozen: bypass __setattr__
         return obj
 
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
+    def __getattr__(self, name: str):
+        # Only a view lacks ``values``: build them once, read-only.
+        build = self.__dict__.get("_build")
+        if name != "values" or build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        values = build()
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        return values
+
+    def _row(self, i: int) -> np.ndarray:
+        """Sample row i; a view overrides this per instance."""
+        return self.values[i]
 
     @property
     def horizon(self) -> float:
@@ -210,11 +226,12 @@ class SampledPath:
         t = float(t)
         i = self._locate(t)
         if self.interpolation == STEP or t == self.times[i] or i == self.n_points - 1:
-            return self.values[i]
+            return self._row(i)
         t0, t1 = self.times[i], self.times[i + 1]
         w = (t - t0) / (t1 - t0)
+        v0, v1 = self._row(i), self._row(i + 1)
         # lerp via the increment so constant cells reproduce their value bitwise
-        return self.values[i] + w * (self.values[i + 1] - self.values[i])
+        return v0 + w * (v1 - v0)
 
     def left_limit(self, t: float) -> np.ndarray:
         """Limit from the left at t > 0 (equals value(t) for LINEAR paths)."""
@@ -224,7 +241,7 @@ class SampledPath:
         if self.interpolation == LINEAR:
             return self.value(t)
         i = int(np.searchsorted(self.times, t, side="left")) - 1
-        return self.values[min(max(i, 0), self.n_points - 1)]
+        return self._row(min(max(i, 0), self.n_points - 1))
 
     def grid_index(self, t: float) -> int:
         """Index of grid time t; raises GridError if t is not on the grid."""
@@ -376,6 +393,51 @@ def default_num_levels(n_points: int) -> int:
 # Path operations
 
 
+def _view(path: SampledPath, row: Callable, build: Callable) -> SampledPath:
+    """A path like ``path`` whose row i is row(i) and whose values are build()."""
+    return type(path)._make(
+        times=path.times, d=path.d, interpolation=path.interpolation,
+        domain=path.domain, _row=row, _build=build,
+    )
+
+
+def _frozen_from(path: SampledPath, cut: int, frozen: np.ndarray) -> SampledPath:
+    """View of path: its rows before index cut, the row ``frozen`` from there on."""
+    frozen.setflags(write=False)
+    base_row = path._row
+
+    def build():
+        vals = np.empty((path.n_points, path.d))
+        vals[:cut] = path.values[:cut]
+        vals[cut:] = frozen
+        return vals
+
+    return _view(path, lambda i: base_row(i) if i < cut else frozen, build)
+
+
+def _bumped(path: SampledPath, j: int, i: int, h: float, domain: Domain | None) -> SampledPath:
+    """View of path plus h in component i from grid index j on; checks the domain."""
+    base_row = path._row
+
+    def row(r):
+        out = base_row(r)
+        if r >= j:
+            out = out.copy()
+            out[i] += h
+            out.setflags(write=False)
+        return out
+
+    def build():
+        vals = path.values.copy()
+        vals[j:, i] += h
+        return vals
+
+    bumped = _view(path, row, build)
+    if domain is not None:
+        _check_domain(bumped.values, domain)
+    return bumped
+
+
 def stop(path: SampledPath, t: float) -> SampledPath:
     """Freeze the path at time t: unchanged on [0, t], constant after.
 
@@ -383,18 +445,18 @@ def stop(path: SampledPath, t: float) -> SampledPath:
     grid points the frozen value is the interpolated one; the kink at t then
     sits inside a grid cell, so the returned samples are exact but linear
     interpolation across that one cell smooths the kink.  At grid times the
-    operation is exact everywhere (and idempotent).
+    operation is exact everywhere (and idempotent).  The frozen value is
+    interpolated from the samples even where ``path.value`` is computed
+    otherwise (a composed path).
     """
     T = path.horizon
     if t < 0.0 or t > T * (1.0 + _GRID_RTOL) + _GRID_RTOL:
         raise DomainError(f"stopping time {t} outside [0, {T}]")
-    frozen = path.value(t)
-    mask = path.times <= t
-    vals = np.where(mask[:, None], path.values, frozen[None, :])
-    return type(path)._trusted(path.times, vals, path.interpolation, path.domain)
+    cut = int(np.searchsorted(path.times, t, side="right"))
+    return _frozen_from(path, cut, SampledPath.value(path, t))
 
 
-def _stepped_values(path: SampledPath, partition: PartitionSequence, level: int) -> np.ndarray:
+def _stepped(path: SampledPath, partition: PartitionSequence, level: int) -> SampledPath:
     _require_same_grid(path, partition)
     idx = partition.indices(level)
     n = path.n_points
@@ -402,7 +464,7 @@ def _stepped_values(path: SampledPath, partition: PartitionSequence, level: int)
     succ = idx[np.minimum(pos + 1, idx.shape[0] - 1)]
     vals = path.values[succ].copy()
     vals[-1] = path.values[-1]
-    return vals
+    return type(path)._trusted(path.times, vals, STEP, path.domain)
 
 
 def stepped_approx(path: SampledPath, partition: PartitionSequence, level: int) -> SampledPath:
@@ -414,8 +476,7 @@ def stepped_approx(path: SampledPath, partition: PartitionSequence, level: int) 
     """
     if path.interpolation != LINEAR:
         raise ValueError("stepped_approx expects a continuous (LINEAR) path")
-    vals = _stepped_values(path, partition, level)
-    return type(path)._trusted(path.times, vals, STEP, path.domain)
+    return _stepped(path, partition, level)
 
 
 def pre_step(
@@ -429,16 +490,7 @@ def pre_step(
     if not partition.contains(level, s):
         raise GridError(f"{s} is not a level-{level} partition point")
     j = path.grid_index(s)
-    stepped = _stepped_values(path, partition, level)
-    return _pre_step_from_arrays(path, stepped, j)
-
-
-def _pre_step_from_arrays(
-    path: SampledPath, stepped_values: np.ndarray, j: int
-) -> SampledPath:
-    mask = np.arange(path.n_points) < j
-    vals = np.where(mask[:, None], stepped_values, path.values[j][None, :])
-    return type(path)._trusted(path.times, vals, STEP, path.domain)
+    return _frozen_from(_stepped(path, partition, level), j, path._row(j))
 
 
 def sup_distance(p: SampledPath, q: SampledPath) -> float:
