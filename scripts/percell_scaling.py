@@ -1,12 +1,14 @@
 """Cost of the per-cell route of ``ito_integral`` as the grid doubles.
 
 A functional without a state form is evaluated cell by cell on pre-step
-paths.  This prints the wall time of ``ito_integral`` over all levels for a
+paths.  This prints the CPU time of ``ito_integral`` over all levels for a
 Python-API functional that reads only ``x.value(t)``, the growth factor per
-doubling of N, and the final value's hex digits so two trees can be
-compared bit for bit.  With ``--mixed E`` it also times, at d = 2 and
-N = 2**E, a product, a composition and a functional that reads the whole
-history through ``.values``.  Each time is the best of ``--repeat`` runs.
+doubling of N, the time per partition cell, and the final value's hex
+digits so two trees can be compared bit for bit.  With ``--mixed E`` it
+also times, at d = 2 and N = 2**E, a product, a composition and a
+functional that reads the whole history through ``.values``.  Each time is
+the best of ``--repeat`` rounds; a round runs every case once, so a busy
+spell on a shared host slows all cases alike instead of one.
 
 Run: python scripts/percell_scaling.py [--exponents 11 12 13 14] [--mixed 13]
 """
@@ -49,14 +51,18 @@ def last_row(d):
     )
 
 
-def timed(F, x, repeat):
-    part = PartitionSequence(x.times, default_num_levels(x.n_points))
-    best = float("inf")
+def best_times(cases, repeat):
+    """name -> (best CPU seconds, cells, final value) over ``repeat`` rounds."""
+    best = {name: (float("inf"), 0, None) for name in cases}
     for _ in range(repeat):
-        start = time.perf_counter()
-        res = ito_integral(AdmissibleIntegrand(F), x, part)
-        best = min(best, time.perf_counter() - start)
-    return best, float(res.final[-1])
+        for name, (F, x) in cases.items():
+            part = PartitionSequence(x.times, default_num_levels(x.n_points))
+            start = time.process_time()
+            res = ito_integral(AdmissibleIntegrand(F), x, part)
+            secs = time.process_time() - start
+            cells = sum(part.num_cells(n) for n in res.levels)
+            best[name] = (min(best[name][0], secs), cells, float(res.final[-1]))
+    return best
 
 
 def main() -> None:
@@ -66,27 +72,25 @@ def main() -> None:
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
 
-    prev = None
-    print(f"{'N':>7} {'seconds':>9} {'growth':>7}  final")
+    cases = {}
     for e in args.exponents:
         x = generate(GeneratorSpec(kind="brownian", base_points=2**e, seed=42))
-        secs, final = timed(value_only(1), x, args.repeat)
-        growth = f"{secs / prev:7.2f}" if prev else f"{'':>7}"
-        print(f"{2**e:>7} {secs:9.3f} {growth}  {final.hex()}")
-        prev = secs
+        cases[2**e] = (value_only(1), x)
     if args.mixed:
         x = generate(GeneratorSpec(kind="brownian", base_points=2**args.mixed, d=2, seed=42))
         cyl = cylinder(lambda t, xv, av: xv[0] * xv[1], d=2,
                        grad=lambda t, xv, av: np.array([xv[1], xv[0]]))
         sq = cylinder(lambda t, yv, av: yv[0] ** 2, d=1, grad=lambda t, yv, av: 2.0 * yv)
-        cases = {
-            "product(cylinder, coordinate)": product(cyl, coordinate(0, d=2)),
-            "compose(cylinder, [cylinder])": compose(sq, [cyl]),
-            "reads x.values[-1]": last_row(2),
-        }
-        for name, F in cases.items():
-            secs, final = timed(F, x, args.repeat)
-            print(f"{name:>30} {secs:9.3f}  {final.hex()}")
+        cases["product(cylinder, coordinate)"] = (product(cyl, coordinate(0, d=2)), x)
+        cases["compose(cylinder, [cylinder])"] = (compose(sq, [cyl]), x)
+        cases["reads x.values[-1]"] = (last_row(2), x)
+    best = best_times(cases, args.repeat)
+    prev = None
+    print(f"{'case':>30} {'seconds':>9} {'growth':>7} {'us/cell':>8}  final")
+    for name, (secs, cells, final) in best.items():
+        growth = f"{secs / prev:7.2f}" if isinstance(name, int) and prev else f"{'':>7}"
+        prev = secs if isinstance(name, int) else None
+        print(f"{str(name):>30} {secs:9.3f} {growth} {1e6 * secs / cells:8.2f}  {final.hex()}")
 
 
 if __name__ == "__main__":
