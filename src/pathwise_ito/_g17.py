@@ -73,14 +73,15 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray):
-    """Truncated and half-even rounded m * 2**e * 10**(16 - x), as uint64."""
+    """Truncated and half-even rounded m * 2**(e - 16) * 10**(16 - x), as uint64."""
+    i = x - _X_MIN
     m_lo, m_hi = m & _LOW32, m >> _U32
-    f_lo, f_hi = _POW5_LO.take(x - _X_MIN), _POW5_HI.take(x - _X_MIN)
+    f_lo, f_hi = _POW5_LO.take(i), _POW5_HI.take(i)
     low = m_lo * f_lo
     mid = m_lo * f_hi + m_hi * f_lo
     lo = low + (mid << _U32)
     hi = m_hi * f_hi + (mid >> _U32) + (lo < low)
-    shift = e + (16 - x)
+    shift = e - x
     right = np.maximum(-shift, 0).astype(np.uint64)
     left = np.maximum(shift, 0).astype(np.uint64)
     # right <= 63; when right == 0 the product is below 2**60, so hi == 0
@@ -92,46 +93,52 @@ def _round_digits(m: np.ndarray, e: np.ndarray, x: np.ndarray):
     return truncated, truncated + up
 
 
-def format_rows(block: np.ndarray) -> str:
-    """The CSV text of a 2-d float block: ``'%.17g'`` cells, CRLF rows."""
+def format_rows(block: np.ndarray) -> bytes:
+    """The CSV bytes of a 2-d float block: ``'%.17g'`` cells, CRLF rows."""
     v = np.ascontiguousarray(block, dtype=np.float64).ravel()
     a = np.abs(v)
     fast = (a > 1e-11) & (a < 1e17)
     # The other cells run through as 1.0 (no log10(0), no inf arithmetic)
     # and are overwritten at the end.
     a = np.where(fast, a, 1.0)
-    frac, exp2 = np.frexp(a)
-    m = (frac * 2.0**53).astype(np.uint64)
-    e = exp2.astype(np.int64) - 53
-    x = np.clip(np.floor(np.log10(a)).astype(np.int64), _X_MIN, _X_MAX)
+    # a = m * 2**(e - 16) with m < 2**53: a fast cell is a normal number.
+    bits = a.view(np.int64)
+    m = ((bits & (2**52 - 1)) | 2**52).view(np.uint64)
+    e = (bits >> 52) - (1075 - 16)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    np.maximum(x, _X_MIN, out=x)
+    np.minimum(x, _X_MAX, out=x)
     truncated, d = _round_digits(m, e, x)
     # log10 can be one off next to a power of ten.  The truncated digits tell,
-    # not the rounded ones: 1e-7 is 9.9999999999999995e-08, not 1e-07.
-    off = (truncated >= np.uint64(10**17)).astype(np.int64) - (truncated < np.uint64(10**16))
-    bad = np.flatnonzero(off)
+    # not the rounded ones: 1e-7 is 9.9999999999999995e-08, not 1e-07.  A
+    # rounding carry to 10**17 is one more decade too.
+    bad = np.flatnonzero((truncated < np.uint64(10**16)) | (d >= np.uint64(10**17)))
     if bad.size:
-        x[bad] += off[bad]
+        x[bad] += np.where(truncated[bad] < np.uint64(10**16), -1, 1)
         d[bad] = _round_digits(m[bad], e[bad], x[bad])[1]
-    carry = d == np.uint64(10**17)
-    d[carry] = np.uint64(10**16)
-    x += carry
 
-    # Chunk indices go to uint32 words 1-5 of a slot, so Z[j] is byte 3 + j.
-    upper = (d // np.uint64(10**8)).astype(np.intp)
-    lower = d.astype(np.intp) - upper * 10**8
-    chunks = np.zeros((v.size, _WIDTH // 4), dtype=np.intp)
-    chunks[:, 1] = upper // 10**8
-    chunks[:, 2] = upper // 10**4 % 10**4
-    chunks[:, 3] = upper % 10**4
-    chunks[:, 4] = lower // 10**4
-    chunks[:, 5] = lower % 10**4
+    # D's five chunks: D = upper * 10**8 + lower, and both halves fit int32,
+    # whose division by a constant is the cheapest numpy has.
+    upper = d // np.uint64(10**8)
+    lower = (d - upper * np.uint64(10**8)).astype(np.int32)
+    upper = upper.astype(np.int32)
+    first = upper // 10**8
+    upper -= first * 10**8
+    hi, lo = upper // 10**4, lower // 10**4
+    chunks = np.stack([first, hi, upper - hi * 10**4, lo, lower - lo * 10**4]).astype(np.intp)
     chunk_digits, chunk_ends = _chunk_tables()
-    sig = chunk_ends[0].take(chunks[:, 1])
-    for i in range(1, 5):
-        np.maximum(sig, chunk_ends[i].take(chunks[:, i + 1]), out=sig)
+    # sig is where D's last nonzero chunk ends: the fifth's, but for 0000.
+    sig = chunk_ends[4].take(chunks[4])
+    short = np.flatnonzero(sig == 0)
+    if short.size:
+        sig[short] = chunk_ends[np.arange(5)[:, None], chunks[:, short]].max(axis=0)
     key = ((x - _X_MIN) * 17 + sig - 1) * 2 + np.signbit(v)
 
-    digits = chunk_digits.take(chunks).view(np.uint64)
+    # Chunk digits fill uint32 words 1-5 of a slot, so Z[j] is byte 3 + j.
+    words = np.zeros((v.size, _WIDTH // 4), dtype=np.uint32)
+    for i, word in enumerate(chunk_digits.take(chunks), start=1):
+        words[:, i] = word
+    digits = words.view(np.uint64)
     shifted = np.zeros_like(digits)  # the digits one byte on
     shifted.view(np.uint8).ravel()[1:] = digits.view(np.uint8).ravel()[:-1]
     text, before, after = _layouts()
@@ -145,4 +152,4 @@ def format_rows(block: np.ndarray) -> str:
         fallback = np.array(["%.17g" % c for c in v[slow].tolist()], dtype=f"S{_FALLBACK_WIDTH}")
         out[slow, :_SEP] = 0
         out[slow, :_FALLBACK_WIDTH] = fallback.view(np.uint8).reshape(-1, _FALLBACK_WIDTH)
-    return out.tobytes().translate(None, b"\0").decode("ascii")
+    return out.tobytes().translate(None, b"\0")

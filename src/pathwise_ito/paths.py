@@ -13,6 +13,7 @@ one, so levels are nested and the finest level is the grid itself.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -218,7 +219,7 @@ class SampledPath:
             if t > T and t < T * (1.0 + _GRID_RTOL) + _GRID_RTOL:
                 return self.n_points - 1
             raise GridError(f"time {t} outside [0, {T}]")
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        i = int(self.times.searchsorted(t, side="right")) - 1
         return min(max(i, 0), self.n_points - 1)
 
     def value(self, t: float) -> np.ndarray:
@@ -240,7 +241,7 @@ class SampledPath:
             raise GridError("left limits need t > 0")
         if self.interpolation == LINEAR:
             return self.value(t)
-        i = int(np.searchsorted(self.times, t, side="left")) - 1
+        i = int(self.times.searchsorted(t, side="left")) - 1
         return self._row(min(max(i, 0), self.n_points - 1))
 
     def grid_index(self, t: float) -> int:
@@ -532,8 +533,9 @@ def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
     """Write a header and a float table as CSV, 17 significant digits a cell.
 
     Gives the bytes ``csv.writer`` gives for ``_format`` cells (no quoting,
-    CRLF rows), one block of rows at a time so the file is never held as one
-    string.  The cells are formatted by array arithmetic (``_g17``), exactly:
+    CRLF rows), one block of rows at a time (as bytes to a UTF-8 text
+    stream's buffer) so the file is never held as one string.  The cells are
+    formatted by array arithmetic (``_g17``), exactly:
     a finite cell with 1e-11 < |v| < 1e17 is M * 2**E with M < 2**53, and its
     17 digits are M * 5**k * 2**(E + k) for k = 16 - floor(log10 |v|) in
     [0, 27], a product below 2**116 that is formed as two uint64 words and
@@ -542,9 +544,16 @@ def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
     formatted by ``'%.17g' % v`` itself.
     """
     dest.write(",".join(header) + "\r\n")
+    raw = getattr(dest, "buffer", None)
+    if raw is not None and codecs.lookup(dest.encoding).name == "utf-8":
+        dest.flush()
+        write = raw.write
+    else:
+        def write(cells: bytes) -> None:
+            dest.write(cells.decode("ascii"))
     rows = max(1, _CELLS_PER_WRITE // table.shape[1])
     for start in range(0, table.shape[0], rows):
-        dest.write(format_rows(table[start : start + rows]))
+        write(format_rows(table[start : start + rows]))
 
 
 def write_path_csv(path: SampledPath, dest, prefix: str = "x") -> None:

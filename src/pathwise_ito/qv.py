@@ -21,7 +21,8 @@ sums by construction.  Polarization is batched: the d columns x_i and the
 d(d-1)/2 columns x_i + x_j sit in one (columns, N) array and every level
 runs on all of them in one set of array operations.  Each column keeps the
 one-column arithmetic and summation order, so the batch gives the same bits
-as running the columns one by one.
+as running the columns one by one.  A :class:`QVMatrix` keeps this packed
+layout and builds its (N, d, d) ``matrices`` only when they are read.
 
 A level allocates no (k, N) temporaries beyond its output.  The anchors
 0, s, 2s, ... of stride s are the strided view ``cols[:, 0:N-1:s]``, not a
@@ -39,6 +40,7 @@ the level and the grid time.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,17 +219,19 @@ def qv_scalar(
 class QVMatrix:
     """Symmetric QV/covariation matrices along the grid at one level.
 
-    ``matrices`` has shape (N, d, d); entry paths are continuous between
-    partition points thanks to final-cell clipping, start at zero, and the
-    diagonals are nondecreasing along partition points (between them the
-    clipped term can dip while the path wanders back toward its anchor).
+    ``entries`` holds the packed (k, N) entry paths; ``matrices`` (N, d, d)
+    is unpacked from them on first read, cached and read-only.  Entry paths
+    are continuous between partition points thanks to final-cell clipping,
+    start at zero, and the diagonals are nondecreasing along partition
+    points (between them the clipped term can dip while the path wanders
+    back toward its anchor).
     When produced by :func:`qv_converged` the per-level diagnostics are
     attached: ``level_diffs`` between consecutive levels and ``last_gap``,
     the per-grid-time gap between the last two levels.
     """
 
     times: np.ndarray
-    matrices: np.ndarray
+    entries: np.ndarray
     level: int
     levels: tuple[int, ...] | None = None
     level_diffs: np.ndarray | None = None
@@ -235,18 +239,24 @@ class QVMatrix:
     converged: bool | None = None
     tol: float | None = None
 
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        matrices = _unpack(self.entries, self.d)
+        matrices.flags.writeable = False
+        return matrices
+
     @property
     def d(self) -> int:
-        return self.matrices.shape[1]
+        return int((2 * self.entries.shape[0]) ** 0.5)  # k = d(d + 1)/2
 
     def entry_path(self, i: int, j: int) -> np.ndarray:
-        return self.matrices[:, i, j]
+        return self.entries[_entry_rows(self.d)[i, j]]
 
     def final(self) -> np.ndarray:
-        return self.matrices[-1]
+        return self.entries[_entry_rows(self.d), -1]
 
     def value(self, t: float) -> np.ndarray:
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        i = int(self.times.searchsorted(t, side="right")) - 1
         return self.matrices[min(max(i, 0), self.times.shape[0] - 1)]
 
 
@@ -261,7 +271,7 @@ def qv_matrix(
     _require_same_grid(x, partition)
     entries, _ = _qv_matrix_arrays(_polarization_columns(x.values), x.d, partition, level)
     _require_finite(entries, x.d, level, x.times)
-    return QVMatrix(times=x.times, matrices=_unpack(entries, x.d), level=int(level))
+    return QVMatrix(times=x.times, entries=entries, level=int(level))
 
 
 def qv_measures(
@@ -313,7 +323,7 @@ def qv_converged(
     level_diffs = np.asarray(diffs)
     return QVMatrix(
         times=x.times,
-        matrices=_unpack(prev, x.d),
+        entries=prev,
         level=levels[-1],
         levels=levels,
         level_diffs=level_diffs,

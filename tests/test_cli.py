@@ -150,7 +150,7 @@ def test_qv_overflow_prints_only_the_error_line(tmp_path):
     proc = _subprocess_cli(["qv", "-i", str(p), "--levels", "2", "-o", str(out)])
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: non-finite qv_11, qv_12 at level 2, grid time 0.25\n"
+    assert proc.stderr == "error: non-finite qv_11, qv_12 at level 1, grid time 0.25\n"
     assert not out.exists()
 
 
@@ -177,7 +177,7 @@ def test_qv_overflow_exits_one_at_any_level_count(levels, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("levels, first_bad", [("1", 1), ("2", 2), ("3", 1)])
+@pytest.mark.parametrize("levels, first_bad", [("1", 1), ("2", 1), ("3", 1)])
 def test_qv_overflowing_polarization_sum_prints_only_the_error_line(
     levels, first_bad, tmp_path, capsys
 ):

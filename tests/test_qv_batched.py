@@ -14,6 +14,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -152,19 +153,78 @@ def test_batched_qv_matches_the_per_column_reference(case):
         assert _same_bits(rep.last_gap, _triangle_gap(refs[num_levels], refs[num_levels - 1]))
 
 
+def _qv_command(x, num_levels):
+    """The qv command's table bytes and stderr line for path x."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = os.path.join(tmp, "x.csv"), os.path.join(tmp, "qv.csv")
+        write_path_csv(x, src)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli_main(["qv", "-i", src, "--levels", str(num_levels), "-o", out]) == 0
+        with open(out, "rb") as fh:
+            return fh.read(), err.getvalue()
+
+
+def _all_levels_verdict(x, num_levels):
+    if num_levels < 3:
+        return "converged: n/a (need at least 3 levels)\n"
+    converged = qv_converged(x, PartitionSequence(x.times, num_levels)).converged
+    return f"converged: {'yes' if converged else 'no'}\n"
+
+
 @settings(max_examples=40, deadline=None)
 @given(_paths(scales=(1e-3, 1.0, 1e3, 1e150)))
 def test_qv_command_table_matches_the_per_column_reference(case):
     # At scale 1e150 the sums stay far from overflow, but 16 N max|x|^2
-    # mostly passes 2^1000, so qv runs every level instead of the last three.
+    # mostly passes 2^1000, so qv runs every level instead of the last two.
     x, num_levels = case
-    with tempfile.TemporaryDirectory() as tmp:
-        src, out = os.path.join(tmp, "x.csv"), os.path.join(tmp, "qv.csv")
-        write_path_csv(x, src)
-        with contextlib.redirect_stderr(io.StringIO()):
-            assert cli_main(["qv", "-i", src, "--levels", str(num_levels), "-o", out]) == 0
-        with open(out, "rb") as fh:
-            assert fh.read() == _reference_table(x, num_levels)
+    table, err = _qv_command(x, num_levels)
+    assert table == _reference_table(x, num_levels)
+    assert err == _all_levels_verdict(x, num_levels)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e150])
+@pytest.mark.parametrize("num_levels", [3, 6, 9])
+def test_qv_verdict_is_the_all_levels_verdict_at_every_scale(scale, num_levels):
+    # Scales 1e-3 and 1e150 run only the last two levels and every level;
+    # the verdict must be qv_converged's over every level on both routes.
+    rng = np.random.default_rng(num_levels)
+    times = np.linspace(0.0, 1.0, 257)
+    values = np.cumsum(rng.standard_normal((257, 3)), axis=0) * scale / 16.0
+    x = SampledPath(times, values)
+    assert _qv_command(x, num_levels)[1] == _all_levels_verdict(x, num_levels)
+
+
+@pytest.mark.parametrize("num_levels", [3, 7])
+def test_qv_verdict_at_the_tolerance_edge(num_levels):
+    # The last gap scales as the square of the path: put it just below and
+    # just above qv_converged's default tol of 1e-2.
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, 1.0, 129)
+    unit = SampledPath(times, np.cumsum(rng.standard_normal((129, 2)), axis=0))
+    part = PartitionSequence(times, num_levels)
+    gap = qv_converged(unit, part).level_diffs[-1]
+    for target in (0.98e-2, 1.02e-2):
+        x = SampledPath(times, unit.values * (target / gap) ** 0.5)
+        assert qv_converged(x, part).converged == (target < 1e-2)
+        assert _qv_command(x, num_levels)[1] == _all_levels_verdict(x, num_levels)
+
+
+def test_qv_matrix_builds_its_matrices_on_read():
+    rng = np.random.default_rng(3)
+    x = SampledPath(np.linspace(0.0, 1.0, 65), rng.standard_normal((65, 4)))
+    part = PartitionSequence(x.times, 6)
+    for m in (qv_matrix(x, part, 5), qv_converged(x, part)):
+        assert "matrices" not in vars(m)  # not built until read
+        first = m.matrices
+        assert _same_bits(first, _unpack(m.entries, x.d))
+        assert not first.flags.writeable
+        assert m.matrices is first
+        assert m.d == x.d
+        assert _same_bits(m.final(), first[-1])
+        for i in range(x.d):
+            for j in range(x.d):
+                assert _same_bits(m.entry_path(i, j), first[:, i, j])
 
 
 def test_table_writer_matches_csv_writer_on_special_values():

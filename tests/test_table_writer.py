@@ -108,3 +108,64 @@ def test_every_decade_and_its_neighbours():
     near = [powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)]
     table = np.concatenate(near + [-p for p in near])[:, None]
     assert _written(["x"], table) == _reference(["x"], table)
+
+
+def _chunk_patterns():
+    # Integers below 2**53 print their own digits, D = n * 10**(17 - len(n)):
+    # chunks of 0000 and 9999 in every position of D, and their decimal
+    # shifts next to them.
+    ints = [10**15, 10**15 + 9999, 9999 * 10**12, 1000099990000999, 9999000099990000,
+            1000000099999999, 9999999900000000, 2**53 - 1, 99999999, 10**8, 9999, 10**4]
+    cells = [sign * n * 10.0**k for n in ints for k in (-20, -8, -4, 0) for sign in (1, -1)]
+    # neighbours of 10**4 and 10**8 multiples, where the halves and chunks roll over
+    for b in (1e4, 1e8, 1e12, 1e16, 9999.0, 99999999.0, 1.0000999900009999, 99990000.0):
+        for scale in (1e-12, 1e-5, 1.0, 1e8):
+            v = b * scale
+            cells += [v, float(np.nextafter(v, 0.0)), float(np.nextafter(v, np.inf))]
+    return np.array(cells)
+
+
+def test_digit_chunks_of_0000_and_9999_and_their_boundaries():
+    cells = _chunk_patterns()
+    for cols in (1, 3, 7):
+        table = np.resize(cells, (len(cells) + cols - 1) // cols * cols).reshape(-1, cols)
+        header = [f"c{i}" for i in range(cols)]
+        assert _written(header, table) == _reference(header, table)
+
+
+def test_longest_cells_at_row_ends():
+    # 23 characters, the most a fast-path cell has, and a 24-character fallback
+    longest = [-1.2345678901234567e-05, -0.00012345678901234567, -9.8765432109876543e-11,
+               -0.00098765432109876543, -1.0000000000000002e-05, -2.2250738585072014e-308]
+    for cols in (1, 2, 5):
+        table = np.full((len(longest), cols), -0.1234567890123456)
+        table[:, -1] = longest
+        header = [f"c{i}" for i in range(cols)]
+        text = _written(header, table)
+        assert text == _reference(header, table)
+        ends = [row.rsplit(",", 1)[-1] for row in text.split("\r\n")[1:-1]]
+        assert [len(cell) for cell in ends] == [23] * 5 + [24]
+
+
+def test_tables_across_block_boundaries_to_every_kind_of_stream(tmp_path):
+    rng = np.random.default_rng(7)
+    cols = 7
+    rows = 3 * paths._CELLS_PER_WRITE // cols + 5  # four blocks, the last one short
+    table = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-12, 18, (rows, cols))
+    table[::5, -1] = np.resize(_chunk_patterns(), len(table[::5, -1]))
+    header = [f"c{i}" for i in range(cols)]
+    want = _reference(header, table)
+    assert _written(header, table) == want
+    # A UTF-8 text stream takes the cells as bytes on its buffer, after the
+    # header; another encoding takes them as text.
+    for encoding in ("utf-8", "UTF8", "utf-16", "latin-1"):
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding=encoding, newline="")
+        with np.errstate(all="raise"):
+            _write_table(stream, header, table)
+        stream.flush()
+        assert raw.getvalue() == want.encode(encoding)
+    path = tmp_path / "t.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh, np.errstate(all="raise"):
+        _write_table(fh, header, table)
+    assert path.read_bytes() == want.encode()
