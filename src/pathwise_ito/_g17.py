@@ -117,8 +117,7 @@ def format_rows(block: np.ndarray) -> bytes:
         x[bad] += np.where(truncated[bad] < np.uint64(10**16), -1, 1)
         d[bad] = _round_digits(m[bad], e[bad], x[bad])[1]
 
-    # D's five chunks: D = upper * 10**8 + lower, and both halves fit int32,
-    # whose division by a constant is the cheapest numpy has.
+    # D's chunks from D = upper * 10**8 + lower in int32, numpy's fastest division.
     upper = d // np.uint64(10**8)
     lower = (d - upper * np.uint64(10**8)).astype(np.int32)
     upper = upper.astype(np.int32)

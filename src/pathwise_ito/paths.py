@@ -534,8 +534,9 @@ def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
 
     Gives the bytes ``csv.writer`` gives for ``_format`` cells (no quoting,
     CRLF rows), one block of rows at a time (as bytes to a UTF-8 text
-    stream's buffer) so the file is never held as one string.  The cells are
-    formatted by array arithmetic (``_g17``), exactly:
+    stream's buffer, untranslated, as csv wants ``newline=""``) so the file
+    is never held as one string.  The cells are formatted by array
+    arithmetic (``_g17``), exactly:
     a finite cell with 1e-11 < |v| < 1e17 is M * 2**E with M < 2**53, and its
     17 digits are M * 5**k * 2**(E + k) for k = 16 - floor(log10 |v|) in
     [0, 27], a product below 2**116 that is formed as two uint64 words and

@@ -186,8 +186,8 @@ def test_qv_command_table_matches_the_per_column_reference(case):
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e150])
 @pytest.mark.parametrize("num_levels", [3, 6, 9])
 def test_qv_verdict_is_the_all_levels_verdict_at_every_scale(scale, num_levels):
-    # Scales 1e-3 and 1e150 run only the last two levels and every level;
-    # the verdict must be qv_converged's over every level on both routes.
+    # Up to scale 1e3 qv runs only the last two levels, at 1e150 every
+    # level; on both routes the verdict is qv_converged's over every level.
     rng = np.random.default_rng(num_levels)
     times = np.linspace(0.0, 1.0, 257)
     values = np.cumsum(rng.standard_normal((257, 3)), axis=0) * scale / 16.0
