@@ -13,7 +13,10 @@ stderr.  Relative output paths resolve against $PATHWISE_ITO_OUT_DIR.
 Exit codes: 0 success, 1 domain failure (including a NaN or infinite
 term) or convergence-gate failure, 2 bad input (I/O, CSV, JSON, config).
 All numbers print with 17 significant digits so outputs are bit-stable
-across runs.  Each subcommand imports only the modules it runs.
+across runs.  Each subcommand imports only the modules it runs.  OpenBLAS
+runs on one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set: no BLAS call here is large enough for a second
+thread, and idle pool workers spin on CPU while numpy loads.
 """
 from __future__ import annotations
 
@@ -21,6 +24,13 @@ import argparse
 import contextlib
 import os
 import sys
+
+# Set before numpy loads OpenBLAS; a process that loaded numpy first, or a user
+# who picked a count, keeps its own set-up.
+if "numpy" not in sys.modules and not {
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -60,7 +60,6 @@ from .functionals import (
     running_max_path,
     time_average_path,
 )
-from .pathgen import GeneratorSpec, generate
 from .paths import (
     BVPath,
     PartitionSequence,
@@ -70,6 +69,9 @@ from .paths import (
     load_sampled_path,
     positive_orthant,
 )
+
+if TYPE_CHECKING:
+    from .pathgen import GeneratorSpec
 
 _COMPONENT_KINDS = ("time-average", "running-max", "qv", "expression")
 
@@ -151,6 +153,8 @@ def _parse_generator(doc: dict) -> GeneratorSpec:
     _check_keys(doc, fields, "generator spec")
     if "kind" not in doc or "base_points" not in doc:
         raise ValueError("generator spec needs 'kind' and 'base_points'")
+    from .pathgen import GeneratorSpec
+
     return GeneratorSpec(**doc)
 
 
@@ -247,6 +251,8 @@ def resolve_path(config: ExperimentConfig) -> SampledPath:
     if src.file is not None:
         x = load_sampled_path(src.file)
     else:
+        from .pathgen import generate
+
         x = generate(src.generator)
     if src.positive:
         x = SampledPath(x.times, x.values, x.interpolation, positive_orthant(x.d))

@@ -8,10 +8,14 @@ formulas only, so the bytes do not depend on the platform's libm.
 To pin a deliberate change of summation order, rerun the command lines below
 with ``-o tests/golden/<file>`` and state the deviation bound in CHANGES.md.
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pathwise_ito
 from pathwise_ito.cli import cli_main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,3 +67,27 @@ def test_path_n300_d4_is_the_head_of_a_gen_path(tmp_path, capsys):
     capsys.readouterr()
     head = out.read_bytes().splitlines(keepends=True)[:301]
     assert b"".join(head) == (GOLDEN / "path_n300_d4.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [None, "2"], ids=["default", "openblas2"])
+@pytest.mark.parametrize(
+    "name", ["integrate_percell_d2.csv", "ito_check_percell_d2.csv", "assoc_check_d2.csv"]
+)
+def test_cli_process_bytes_do_not_depend_on_blas_threads(name, threads, tmp_path):
+    # These cases take per-cell np.dot products and d = 2 matmuls.  A CLI
+    # process runs one OpenBLAS thread unless the environment picks a count.
+    src = str(Path(pathwise_ito.__file__).resolve().parents[1])
+    thread_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    out = tmp_path / name
+    proc = subprocess.run(
+        [sys.executable, "-m", "pathwise_ito.cli", *CASES[name], "-o", str(out)],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
