@@ -147,9 +147,8 @@ def test_ito_check_residual_of_a_quadratic_is_rounding_only(case):
     with tempfile.TemporaryDirectory() as workdir:
         x, levels, residuals = _ito_check(workdir, path_args, comps, cylinder)
     xs, a = x[:, 1:], _components(x, comps)
-    upper_idx = list(upper)
     F_abs = (
-        sum(abs(upper[ij]) * np.abs(xs[:, ij[0]] * xs[:, ij[1]]) for ij in upper_idx)
+        sum(abs(v) * np.abs(xs[:, i] * xs[:, j]) for (i, j), v in upper.items())
         + np.abs(xs) @ np.abs(b)
         + abs(alpha) * x[:, 0]
         + abs(q0)
