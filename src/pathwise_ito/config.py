@@ -134,6 +134,20 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         raise ValueError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer as is: a float, a boolean or a string is malformed input."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(value: Any, what: str) -> bool:
+    """A JSON boolean as is: ``"false"`` or 0 is malformed input."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_generator(doc: dict) -> GeneratorSpec:
     if not isinstance(doc, dict):
         raise ValueError("'generator' must be an object")
@@ -153,6 +167,9 @@ def _parse_generator(doc: dict) -> GeneratorSpec:
     _check_keys(doc, fields, "generator spec")
     if "kind" not in doc or "base_points" not in doc:
         raise ValueError("generator spec needs 'kind' and 'base_points'")
+    for key in ("base_points", "d", "seed", "depth"):
+        if key in doc:
+            _integer(doc[key], f"generator '{key}'")
     from .pathgen import GeneratorSpec
 
     return GeneratorSpec(**doc)
@@ -163,9 +180,8 @@ def _parse_source(doc: Any) -> PathSource:
         raise ValueError("'path' must be an object")
     _check_keys(doc, {"file", "generator", "positive"}, "path source")
     gen = _parse_generator(doc["generator"]) if "generator" in doc else None
-    return PathSource(
-        file=doc.get("file"), generator=gen, positive=bool(doc.get("positive", False))
-    )
+    positive = _flag(doc.get("positive", False), "path 'positive'")
+    return PathSource(file=doc.get("file"), generator=gen, positive=positive)
 
 
 def _parse_component(doc: Any) -> ComponentSpec:
@@ -176,8 +192,8 @@ def _parse_component(doc: Any) -> ComponentSpec:
         raise ValueError("component spec needs a 'kind'")
     return ComponentSpec(
         kind=doc["kind"],
-        component=int(doc.get("component", 0)),
-        level=None if doc.get("level") is None else int(doc["level"]),
+        component=_integer(doc.get("component", 0), "component 'component'"),
+        level=None if doc.get("level") is None else _integer(doc["level"], "component 'level'"),
         expression=doc.get("expression"),
     )
 
@@ -187,7 +203,7 @@ def _parse_levels(doc: Any) -> tuple[int, ...] | None:
         return None
     if not isinstance(doc, list) or not doc:
         raise ValueError("'levels' must be a nonempty list of integers")
-    levels = tuple(int(v) for v in doc)
+    levels = tuple(_integer(v, "each of 'levels'") for v in doc)
     if any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] < 1:
         raise ValueError("'levels' must be strictly increasing and start at 1 or above")
     return levels
@@ -315,7 +331,8 @@ def _build_cylinder(doc: dict, d: int, m: int) -> Functional:
         da = [comp(g) for g in doc["da"]]
         if len(da) != m:
             raise ValueError(f"'da' needs {m} formulas")
-    domain = positive_orthant(d) if doc.get("positive") else None
+    positive = _flag(doc.get("positive", False), "cylinder 'positive'")
+    domain = positive_orthant(d) if positive else None
     return _formula_cylinder(
         comp(doc["f"]),
         d=d,
@@ -338,7 +355,7 @@ def build_functional(spec: Any, d: int, m: int) -> Functional:
         )
     (key, body), = spec.items()
     if key == "coordinate":
-        i = int(body)
+        i = _integer(body, "'coordinate'")
         if not 0 <= i < d:
             raise ValueError(f"coordinate index {i} out of range for dimension {d}")
         return coordinate(i, d=d, m=m)

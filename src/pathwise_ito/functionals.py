@@ -78,7 +78,6 @@ class Functional:
         "_vertical",
         "_vertical2",
         "_horizontal",
-        "_alt_m",
         "_on_states",
     )
 
@@ -103,9 +102,6 @@ class Functional:
         self._vertical = vertical
         self._vertical2 = vertical2
         self._horizontal = horizontal
-        # A composed functional with a bound outer component path also
-        # accepts just the inner components and appends the bound ones.
-        self._alt_m: int | None = None
         # Slot name -> callable on stacked states (t, X, A) with shapes
         # (n,), (n, d), (n, m), for functionals that read only the state
         # at t; see _state_slot.
@@ -115,7 +111,7 @@ class Functional:
         if x.d != self.d:
             raise ValueError(f"{self.name}: path has {x.d} components, functional wants {self.d}")
         got = 0 if a is None else a.m
-        if got != self.m and got != self._alt_m:
+        if got != self.m:
             raise ValueError(f"{self.name}: got {got} extra components, wants {self.m}")
 
     def _checked(self, slot: str, value):
@@ -151,15 +147,6 @@ class Functional:
         if self._horizontal is not None:
             return self._checked("horizontal", self._horizontal(t, x, a))
         return fd_horizontal(self, t, x, a)
-
-    @property
-    def analytic(self) -> tuple[bool, bool, bool]:
-        """Which of (vertical, vertical2, horizontal) avoid finite differences."""
-        return (
-            self._vertical is not None,
-            self._vertical2 is not None,
-            self._horizontal is not None,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Functional({self.name!r}, d={self.d}, m={self.m})"
@@ -588,14 +575,13 @@ def product(F: Functional, G: Functional) -> Functional:
     )
 
 
-def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = None) -> Functional:
+def compose(outer: Functional, inners: Sequence[Functional]) -> Functional:
     """H(t, X, (A, B)) = outer(t, (inners)(., X, A), B), with the chain rules.
 
     The returned functional drives d path components and m + q extra
     components, where m is shared by the inner functionals and q belongs
-    to the outer one; the extra components are split positionally.  If
-    ``b`` is given it is appended automatically whenever a caller passes
-    only the inner m components, binding the outer data at compose time.
+    to the outer one; a caller passes (A, B) as one component path, split
+    positionally.
     """
     inners = list(inners)
     if not inners:
@@ -604,8 +590,6 @@ def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = 
         raise ValueError(
             f"outer functional drives {outer.d} components, got {len(inners)} inners"
         )
-    if b is not None and b.m != outer.m:
-        raise ValueError("bound B must carry exactly the outer functional's components")
     d = inners[0].d
     m = inners[0].m
     if any((f.d, f.m) != (d, m) for f in inners):
@@ -615,16 +599,7 @@ def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = 
     for f in inners:
         dom = _merge_domains(dom, f.x_domain)
 
-    def _split(x, ab):
-        got = 0 if ab is None else ab.m
-        if got == m and b is not None and q:
-            # Caller supplied only the inner components; append the bound B.
-            from .paths import concat_components
-
-            ab = concat_components(ab if got else BVPath.empty(x.times), b)
-            got = ab.m
-        if got != m + q:
-            raise ValueError(f"composed functional wants {m}+{q} extra components, got {got}")
+    def _split(ab):
         a = ab.slice_components(0, m) if m else None
         bb = ab.slice_components(m, m + q) if q else None
         return a, bb
@@ -651,18 +626,18 @@ def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = 
         )
 
     def _eval(t, x, ab):
-        a, bb = _split(x, ab)
+        a, bb = _split(ab)
         return outer.evaluate(t, _inner_path(x, a), bb)
 
     def _vertical(t, x, ab):
-        a, bb = _split(x, ab)
+        a, bb = _split(ab)
         y = _inner_path(x, a)
         gout = outer.vertical(t, y, bb)
         jac = np.stack([f.vertical(t, x, a) for f in inners])
         return jac.T @ gout
 
     def _vertical2(t, x, ab):
-        a, bb = _split(x, ab)
+        a, bb = _split(ab)
         y = _inner_path(x, a)
         gout = outer.vertical(t, y, bb)
         g2 = outer.vertical2(t, y, bb)
@@ -673,7 +648,7 @@ def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = 
         return 0.5 * (out + out.T)
 
     def _horizontal(t, x, ab):
-        a, bb = _split(x, ab)
+        a, bb = _split(ab)
         y = _inner_path(x, a)
         gout = outer.vertical(t, y, bb)
         gh = outer.horizontal(t, y, bb)
@@ -687,7 +662,7 @@ def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = 
         return out
 
     inner_names = ", ".join(f.name for f in inners)
-    H = Functional(
+    return Functional(
         evaluate=_eval,
         d=d,
         m=m + q,
@@ -697,9 +672,6 @@ def compose(outer: Functional, inners: Sequence[Functional], b: BVPath | None = 
         x_domain=dom,
         name=f"{outer.name}({inner_names})",
     )
-    if b is not None:
-        H._alt_m = m
-    return H
 
 
 # ---------------------------------------------------------------------------

@@ -248,13 +248,6 @@ class SampledPath:
         """Index of grid time t; raises GridError if t is not on the grid."""
         return _grid_index(self.times, float(t))
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[:, i]
-
-    def with_values(self, values: np.ndarray) -> "SampledPath":
-        """Same grid, tag and domain with new samples (domain re-checked)."""
-        return type(self)(self.times, values, self.interpolation, self.domain)
-
     def scalar(self, t: float) -> float:
         if self.d != 1:
             raise ValueError("scalar() needs a one-component path")
@@ -295,9 +288,6 @@ class BVPath(SampledPath):
         if not (0 <= lo <= hi <= self.m):
             raise ValueError("component slice out of range")
         return BVPath._trusted(self.times, self.values[:, lo:hi], LINEAR, self.domain)
-
-    def component_total_variation(self, i: int) -> float:
-        return float(np.sum(np.abs(np.diff(self.values[:, i]))))
 
 
 def concat_components(a: BVPath, b: BVPath | None) -> BVPath:
@@ -343,10 +333,6 @@ class PartitionSequence:
             raise ValueError("need at least one partition level")
         object.__setattr__(self, "num_levels", int(self.num_levels))
 
-    @classmethod
-    def for_path(cls, path: SampledPath, num_levels: int) -> "PartitionSequence":
-        return cls(path.times, num_levels)
-
     def _check_level(self, level: int) -> int:
         level = int(level)
         if not 1 <= level <= self.num_levels:
@@ -374,15 +360,6 @@ class PartitionSequence:
 
     def contains(self, level: int, t: float) -> bool:
         return _grid_match(self.points(level), t) is not None
-
-    def successor(self, level: int, t: float) -> float:
-        """Next partition point strictly after t; T maps to itself."""
-        pts = self.points(level)
-        T = float(pts[-1])
-        if t >= T:
-            return T
-        i = int(np.searchsorted(pts, t, side="right"))
-        return float(pts[i])
 
 
 def default_num_levels(n_points: int) -> int:

@@ -447,6 +447,53 @@ def test_non_string_generator_formula_exits_two(generator, tmp_path, capsys):
     assert err == f"error: generator '{key}' must be a formula string\n"
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "golden, keys, value",
+    [
+        # each of these once ran as something else, or failed as a domain error
+        ("cylinder_d1.json", ("path", "positive"), "false"),
+        ("cylinder_d1.json", ("path", "positive"), 0),
+        ("cylinder_d1.json", ("functional", "cylinder", "positive"), "false"),
+        ("cylinder_d1.json", ("levels",), [2.5, 4.9]),
+        ("cylinder_d1.json", ("levels",), ["3", "5"]),
+        ("cylinder_d1.json", ("components", 0, "component"), 0.7),
+        ("cylinder_d1.json", ("components", 0, "component"), False),
+        ("cylinder_d1.json", ("path", "generator", "base_points"), 512.9),
+        ("cylinder_d1.json", ("path", "generator", "seed"), 1.5),
+        ("cylinder_d1.json", ("path", "generator", "seed"), "42"),
+        ("cylinder_d1.json", ("path", "generator", "d"), 1.7),
+        ("cylinder_d1.json", ("path", "generator", "depth"), 24.0),
+        ("cylinder_d3.json", ("components", 1, "component"), 2.0),
+        ("percell_d2.json", ("functional", "product", 1, "compose", "inners", 1, "coordinate"), 1.0),
+    ],
+)
+def test_non_integer_or_non_boolean_field_exits_two(golden, keys, value, tmp_path, capsys):
+    doc = json.loads((GOLDEN / golden).read_text())
+    _set(doc, keys, value)
+    code, out, err = _run(["integrate", "-c", _write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{keys[-1]}'" in err
+
+
+def test_qv_component_level_must_be_an_integer(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "cylinder_d1.json").read_text())
+    doc["components"] = [{"kind": "qv", "component": 0, "level": 3.0}]
+    code, _, err = _run(["integrate", "-c", _write_config(tmp_path, doc)], capsys)
+    assert code == 2
+    assert err == "error: component 'level' must be an integer, got 3.0\n"
+
+
 def test_no_arguments_exits_two(capsys):
     assert cli_main([]) == 2
     capsys.readouterr()

@@ -387,27 +387,16 @@ def test_compose_outer_component_derivative_ignores_the_inners():
     assert h1[0] != h2[0] and h1[1] != h2[1]
 
 
-def test_compose_binds_the_outer_component_path():
-    x, a, b, ab = _compose_fixture(257)
-    F1, F2 = _inner_pair()
-    H = compose(_outer(), [F1, F2])
-    H_bound = compose(_outer(), [F1, F2], b=b)
-    t0 = 0.625
-    assert H_bound.evaluate(t0, x, a) == H.evaluate(t0, x, ab)
-    assert np.array_equal(H_bound.vertical(t0, x, a), H.vertical(t0, x, ab))
-    # the full concatenation stays accepted
-    assert H_bound.evaluate(t0, x, ab) == H.evaluate(t0, x, ab)
-
-
 def test_compose_validates_shapes():
     F1, F2 = _inner_pair()
     with pytest.raises(ValueError):
         compose(_outer(), [F1])
     with pytest.raises(ValueError):
         compose(_outer(), [F1, coordinate(0, d=2, m=0)])
-    x, a, b, _ = _compose_fixture(257)
+    # a composed functional takes the inner and outer components as one path
+    x, a, _, _ = _compose_fixture(257)
     with pytest.raises(ValueError):
-        compose(_outer(), [F1, F2], b=concat_components(b, b))
+        compose(_outer(), [F1, F2]).evaluate(0.625, x, a)
 
 
 def test_compose_checks_the_outer_domain():

@@ -29,6 +29,7 @@ from pathwise_ito.paths import (
     PartitionSequence,
     SampledPath,
 )
+from pathwise_ito import qv as qv_module
 from pathwise_ito.qv import qv_matrix, qv_scalar
 from pathwise_ito.stieltjes import StieltjesMeasure, cumulative_stieltjes
 
@@ -284,6 +285,21 @@ def test_formula_report_with_clock_term():
     errs = np.abs(rep.residuals)
     assert np.all(errs[1:] < errs[:-1])
     assert errs[-1] < 2e-3
+
+
+@pytest.mark.parametrize("levels", [None, (3, 5, 8)])
+def test_formula_report_runs_one_qv_pass_per_level(levels, monkeypatch):
+    x, part = _brownian(exponent=8)
+    real = qv_module._qv_matrix_arrays
+    passes = []
+
+    def counted(*args, **kwargs):
+        passes.append(args[3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qv_module, "_qv_matrix_arrays", counted)
+    rep = ito_formula_report(_square_functional(), x, None, part, levels)
+    assert passes == list(rep.levels)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -172,7 +172,7 @@ def test_box_domain_is_strictly_open():
         SampledPath(_grid(3), np.array([0.5, 0.0, 0.5]), domain=dom)
     p = SampledPath(_grid(3), np.array([0.5, 0.25, 0.5]), domain=dom)
     with pytest.raises(DomainError):
-        p.with_values(np.array([0.5, 1.0, 0.5]))
+        SampledPath(p.times, np.array([0.5, 1.0, 0.5]), domain=dom)
     orth = positive_orthant(2)
     with pytest.raises(DomainError):
         SampledPath(_grid(3), np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]), domain=orth)
@@ -240,15 +240,11 @@ def test_partition_handles_ragged_grids():
     assert np.array_equal(tiny.indices(1), [0, 2])
 
 
-def test_partition_contains_and_successor():
+def test_partition_contains_and_level_range():
     part = PartitionSequence(_grid(2**3 + 1), num_levels=3)
     assert part.contains(1, 0.0) and part.contains(1, 0.5) and part.contains(1, 1.0)
     assert not part.contains(1, 0.25)
     assert part.contains(2, 0.25)
-    assert part.successor(1, 0.0) == 0.5
-    assert part.successor(1, 0.2) == 0.5
-    assert part.successor(1, 0.5) == 1.0
-    assert part.successor(1, 1.0) == 1.0
     with pytest.raises(ValueError):
         part.indices(0)
     with pytest.raises(ValueError):
@@ -313,8 +309,6 @@ def test_stepped_approx_converges_uniformly_for_continuous_paths():
 def test_bv_path_components():
     a = BVPath(_grid(4), np.column_stack([np.arange(4.0), np.ones(4)]))
     assert a.m == 2
-    assert a.component_total_variation(0) == 3.0
-    assert a.component_total_variation(1) == 0.0
     assert a.slice_components(1, 2).m == 1
     with pytest.raises(ValueError):
         BVPath(_grid(4), np.zeros(4), interpolation=STEP)
