@@ -39,11 +39,22 @@ Cylinder formulas use the variables ``t, x1..xd, a1..am``.  Partial
 derivatives are taken literally as supplied; when ``grad``/``hess``/``dt``
 are omitted the functional falls back to finite differences instead of
 differentiating the formula for you.
+
+Each key takes one JSON type (the ``_FIELDS`` table).  ``base_points``,
+``d``, ``seed``, ``depth``, ``component``, ``level``, ``coordinate`` and the
+entries of ``levels`` are integers (``2.0`` and ``true`` are not);
+``horizon``, ``drift``, ``scale``, ``value``, ``tolerance`` and
+``qv_gate_tol`` are finite numbers; ``positive`` is a boolean; formulas
+(``f``, ``dt``, ``expression``, ``slope`` and the entries of ``grad``,
+``hess`` and ``da``) are strings (``2`` is not), as are ``kind``, ``file``,
+``name`` and ``output``.  A ``null`` string, formula, list or object counts
+as an absent key; an integer, number or boolean takes no ``null``.
 """
 from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -128,122 +139,101 @@ class ExperimentConfig:
     output: str | None = None
 
 
-def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
+# Each JSON type's description in an error, and its test.  A number is an
+# int or a float in float range (not NaN or infinite), stored as a float.
+_TYPES = {
+    "integer": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a finite number", lambda v: isinstance(v, (int, float))
+               and not isinstance(v, bool) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "formula": ("a formula string", lambda v: isinstance(v, str)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+# A null of these types counts as an absent key; the others take no null.
+_NULLABLE = ("formula", "string", "list", "object")
+# The JSON type of every key each kind of object takes, and the keys it needs.
+_FIELDS = {
+    "config": {
+        "path": "object", "components": "list", "functional": "object", "outer": "object",
+        "integrands": "list", "levels": "list", "tolerance": "number",
+        "qv_gate_tol": "number", "output": "string",
+    },
+    "path": {"file": "string", "generator": "object", "positive": "bool"},
+    "generator": {
+        "kind": "string", "base_points": "integer", "horizon": "number", "d": "integer",
+        "seed": "integer", "drift": "number", "scale": "number", "expression": "formula",
+        "slope": "formula", "value": "number", "depth": "integer",
+    },
+    "component": {
+        "kind": "string", "component": "integer", "level": "integer", "expression": "formula",
+    },
+    "functional": {
+        "coordinate": "integer", "cylinder": "object", "product": "list", "compose": "object",
+    },
+    "cylinder": {
+        "f": "formula", "grad": "list", "hess": "list", "dt": "formula", "da": "list",
+        "positive": "bool", "name": "string",
+    },
+    "compose": {"outer": "object", "inners": "list"},
+}
+_REQUIRED = {
+    "config": ("path",), "generator": ("kind", "base_points"), "component": ("kind",),
+    "cylinder": ("f",), "compose": ("outer", "inners"),
+}
+
+
+def _value(value: Any, type_: str, what: str) -> Any:
+    description, test = _TYPES[type_]
+    if not test(value):
+        raise ValueError(f"{what} must be {description}, got {value!r}")
+    return float(value) if type_ == "number" else value
+
+
+def _fields(doc: Any, kind: str) -> dict:
+    """``doc`` checked against ``_FIELDS[kind]``, without its null keys."""
+    _value(doc, "object", kind)
+    table = _FIELDS[kind]
+    unknown = sorted(set(doc) - set(table))
     if unknown:
-        raise ValueError(f"unknown keys {unknown} in {where}; allowed: {sorted(allowed)}")
-
-
-def _integer(value: Any, what: str) -> int:
-    """A JSON integer as is: a float, a boolean or a string is malformed input."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _flag(value: Any, what: str) -> bool:
-    """A JSON boolean as is: ``"false"`` or 0 is malformed input."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{what} must be true or false, got {value!r}")
-    return value
-
-
-def _parse_generator(doc: dict) -> GeneratorSpec:
-    if not isinstance(doc, dict):
-        raise ValueError("'generator' must be an object")
-    fields = {
-        "kind",
-        "base_points",
-        "horizon",
-        "d",
-        "seed",
-        "drift",
-        "scale",
-        "expression",
-        "slope",
-        "value",
-        "depth",
+        raise ValueError(f"unknown keys {unknown} in {kind}; allowed: {sorted(table)}")
+    out = {
+        key: _value(value, table[key], f"{kind} '{key}'")
+        for key, value in doc.items()
+        if value is not None or table[key] not in _NULLABLE
     }
-    _check_keys(doc, fields, "generator spec")
-    if "kind" not in doc or "base_points" not in doc:
-        raise ValueError("generator spec needs 'kind' and 'base_points'")
-    for key in ("base_points", "d", "seed", "depth"):
-        if key in doc:
-            _integer(doc[key], f"generator '{key}'")
-    from .pathgen import GeneratorSpec
-
-    return GeneratorSpec(**doc)
+    for key in _REQUIRED.get(kind, ()):
+        if key not in out:
+            raise ValueError(f"{kind} needs a '{key}'")
+    return out
 
 
-def _parse_source(doc: Any) -> PathSource:
-    if not isinstance(doc, dict):
-        raise ValueError("'path' must be an object")
-    _check_keys(doc, {"file", "generator", "positive"}, "path source")
-    gen = _parse_generator(doc["generator"]) if "generator" in doc else None
-    positive = _flag(doc.get("positive", False), "path 'positive'")
-    return PathSource(file=doc.get("file"), generator=gen, positive=positive)
-
-
-def _parse_component(doc: Any) -> ComponentSpec:
-    if not isinstance(doc, dict):
-        raise ValueError("each component must be an object")
-    _check_keys(doc, {"kind", "component", "level", "expression"}, "component spec")
-    if "kind" not in doc:
-        raise ValueError("component spec needs a 'kind'")
-    return ComponentSpec(
-        kind=doc["kind"],
-        component=_integer(doc.get("component", 0), "component 'component'"),
-        level=None if doc.get("level") is None else _integer(doc["level"], "component 'level'"),
-        expression=doc.get("expression"),
-    )
-
-
-def _parse_levels(doc: Any) -> tuple[int, ...] | None:
-    if doc is None:
-        return None
-    if not isinstance(doc, list) or not doc:
-        raise ValueError("'levels' must be a nonempty list of integers")
-    levels = tuple(_integer(v, "each of 'levels'") for v in doc)
-    if any(b <= a for a, b in zip(levels, levels[1:])) or levels[0] < 1:
-        raise ValueError("'levels' must be strictly increasing and start at 1 or above")
-    return levels
+def _entries(values: list, type_: str, what: str) -> list:
+    return [_value(v, type_, f"each entry of {what}") for v in values]
 
 
 def parse_config(doc: Any) -> ExperimentConfig:
     """Validate a decoded JSON document into an :class:`ExperimentConfig`."""
-    if not isinstance(doc, dict):
-        raise ValueError("the experiment config must be a JSON object")
-    _check_keys(
-        doc,
-        {
-            "path",
-            "components",
-            "functional",
-            "outer",
-            "integrands",
-            "levels",
-            "tolerance",
-            "qv_gate_tol",
-            "output",
-        },
-        "experiment config",
-    )
-    if "path" not in doc:
-        raise ValueError("the experiment config needs a 'path' entry")
-    components = tuple(_parse_component(c) for c in doc.get("components", []))
-    integrands = doc.get("integrands", [])
-    if not isinstance(integrands, list):
-        raise ValueError("'integrands' must be a list of functional specs")
+    doc = _fields(doc, "config")
+    src = _fields(doc["path"], "path")
+    if "generator" in src:
+        from .pathgen import GeneratorSpec
+
+        src["generator"] = GeneratorSpec(**_fields(src["generator"], "generator"))
+    levels = doc.get("levels")
+    if levels is not None:
+        levels = tuple(_entries(levels, "integer", "config 'levels'"))
+        if not levels or levels[0] < 1 or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ValueError("'levels' must be a nonempty list rising strictly from 1 or above")
+    components = doc.get("components", [])
+    plain = ("functional", "outer", "tolerance", "qv_gate_tol", "output")
     return ExperimentConfig(
-        source=_parse_source(doc["path"]),
-        components=components,
-        functional=doc.get("functional"),
-        outer=doc.get("outer"),
-        integrands=tuple(integrands),
-        levels=_parse_levels(doc.get("levels")),
-        tolerance=float(doc.get("tolerance", 1e-3)),
-        qv_gate_tol=float(doc.get("qv_gate_tol", 5e-2)),
-        output=doc.get("output"),
+        source=PathSource(**src),
+        components=tuple(ComponentSpec(**_fields(c, "component")) for c in components),
+        integrands=tuple(_entries(doc.get("integrands", []), "object", "config 'integrands'")),
+        levels=levels,
+        **{key: doc[key] for key in plain if key in doc},
     )
 
 
@@ -306,78 +296,58 @@ def build_components(
 
 
 def _build_cylinder(doc: dict, d: int, m: int) -> Functional:
-    _check_keys(
-        doc, {"f", "grad", "hess", "dt", "da", "positive", "name"}, "cylinder spec"
-    )
-    if "f" not in doc:
-        raise ValueError("cylinder spec needs an 'f' formula")
+    doc = _fields(doc, "cylinder")
     variables = state_variables(d, m)
 
-    def comp(text):
-        return compile_expression(str(text), variables)
+    def formulas(key: str, values: list, n: int) -> list:
+        if len(values) != n:
+            raise ValueError(f"'{key}' needs {n} formulas")
+        values = _entries(values, "formula", f"cylinder '{key}'")
+        return [compile_expression(v, variables) for v in values]
 
-    grad = hess = dt = da = None
-    if doc.get("grad") is not None:
-        grad = [comp(g) for g in doc["grad"]]
-        if len(grad) != d:
-            raise ValueError(f"'grad' needs {d} formulas")
-    if doc.get("hess") is not None:
-        hess = [[comp(h) for h in row] for row in doc["hess"]]
-        if len(hess) != d or any(len(r) != d for r in hess):
+    hess = None
+    if "hess" in doc:
+        rows = _entries(doc["hess"], "list", "cylinder 'hess'")
+        if len(rows) != d or any(len(row) != d for row in rows):
             raise ValueError(f"'hess' needs a {d}x{d} table of formulas")
-    if doc.get("dt") is not None:
-        dt = comp(doc["dt"])
-    if doc.get("da") is not None:
-        da = [comp(g) for g in doc["da"]]
-        if len(da) != m:
-            raise ValueError(f"'da' needs {m} formulas")
-    positive = _flag(doc.get("positive", False), "cylinder 'positive'")
-    domain = positive_orthant(d) if positive else None
+        hess = [formulas("hess", row, d) for row in rows]
     return _formula_cylinder(
-        comp(doc["f"]),
+        compile_expression(doc["f"], variables),
         d=d,
         m=m,
-        grad=grad,
+        grad=formulas("grad", doc["grad"], d) if "grad" in doc else None,
         hess=hess,
-        dt=dt,
-        da=da,
-        x_domain=domain,
-        name=str(doc.get("name", doc["f"])),
+        dt=compile_expression(doc["dt"], variables) if "dt" in doc else None,
+        da=formulas("da", doc["da"], m) if "da" in doc else None,
+        x_domain=positive_orthant(d) if doc.get("positive", False) else None,
+        name=doc.get("name", doc["f"]),
     )
 
 
 def build_functional(spec: Any, d: int, m: int) -> Functional:
     """Build one functional from its config form for a d-dim path, m components."""
-    if not isinstance(spec, dict) or len(spec) != 1:
+    fields = _fields(spec, "functional")
+    if len(fields) != 1:
         raise ValueError(
             "a functional spec is an object with exactly one of "
             "'coordinate', 'cylinder', 'product', 'compose'"
         )
-    (key, body), = spec.items()
+    (key, body), = fields.items()
     if key == "coordinate":
-        i = _integer(body, "'coordinate'")
-        if not 0 <= i < d:
-            raise ValueError(f"coordinate index {i} out of range for dimension {d}")
-        return coordinate(i, d=d, m=m)
+        if not 0 <= body < d:
+            raise ValueError(f"coordinate index {body} out of range for dimension {d}")
+        return coordinate(body, d=d, m=m)
     if key == "cylinder":
-        if not isinstance(body, dict):
-            raise ValueError("'cylinder' must be an object")
         return _build_cylinder(body, d, m)
     if key == "product":
-        if not isinstance(body, list) or len(body) != 2:
+        if len(body) != 2:
             raise ValueError("'product' takes a list of exactly two functional specs")
         return product(build_functional(body[0], d, m), build_functional(body[1], d, m))
-    if key == "compose":
-        if not isinstance(body, dict):
-            raise ValueError("'compose' must be an object")
-        _check_keys(body, {"outer", "inners"}, "compose spec")
-        inners_doc = body.get("inners")
-        if not isinstance(inners_doc, list) or not inners_doc:
-            raise ValueError("'compose' needs a nonempty 'inners' list")
-        inners = [build_functional(s, d, m) for s in inners_doc]
-        outer = build_functional(body.get("outer"), len(inners), 0)
-        return compose(outer, inners)
-    raise ValueError(f"unknown functional kind {key!r}")
+    body = _fields(body, "compose")
+    if not body["inners"]:
+        raise ValueError("'compose' needs a nonempty 'inners' list")
+    inners = [build_functional(s, d, m) for s in body["inners"]]
+    return compose(build_functional(body["outer"], len(inners), 0), inners)
 
 
 __all__ = [

@@ -188,14 +188,15 @@ def ito_integral(
         pts = x.times[idx]
         dx = x.values[idx[1:]] - x.values[idx[:-1]]
         if at_lefts is not None:
-            terms = _cell_products(xi_grid[idx[:-1]], dx)
+            xi_rows = xi_grid[idx[:-1]]
         else:
             stepped = _stepped(x, partition, n)
             def fill(lo, hi, out):
                 for j in range(lo, hi):
                     pre = _frozen_from(stepped, idx[j], x._row(idx[j]))
-                    out[j] = float(np.dot(xi.xi(float(pts[j]), pre), dx[j]))
-            terms = map_chunked(fill, np.empty(idx.shape[0] - 1))
+                    out[j] = xi.xi(float(pts[j]), pre)
+            xi_rows = map_chunked(fill, np.empty((idx.shape[0] - 1, x.d)))
+        terms = _cell_products(xi_rows, dx)
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.shape[0]:
             raise DomainError(
@@ -558,6 +559,15 @@ class AssocReport:
     rhs: IntegralResult
 
 
+def _qv_gate(relative: float, tol: float, what: str, note: str = "") -> None:
+    """HypothesisError unless ``relative <= tol``: a NaN on either side fails."""
+    if not relative <= tol:
+        message = f"quadratic-variation {what} fails its gate: relative residual"
+        raise HypothesisError(
+            f"{message} {relative:.3e} > {tol:.3e}{note}", residual=relative, tol=tol
+        )
+
+
 def _residual_ratios(residuals: np.ndarray) -> np.ndarray:
     prev, cur = residuals[:-1], residuals[1:]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -590,14 +600,8 @@ def associativity_check(
     a = _shared_component_path(xis)
     y = build_Y(xis, x, partition, finest)
     gate = _qv_identity(y, _xi_samples(xis, x), x, partition, finest)
-    if gate.relative > qv_gate_tol:
-        raise HypothesisError(
-            "quadratic-variation identity for Y fails its gate: "
-            f"relative residual {gate.relative:.3e} > {qv_gate_tol:.3e}; "
-            "the associativity identity presupposes it",
-            residual=gate.relative,
-            tol=qv_gate_tol,
-        )
+    note = "; the associativity identity presupposes it"
+    _qv_gate(gate.relative, qv_gate_tol, "identity for Y", note)
     aug = augment([xi.functional for xi in xis], x, a, partition, finest)
     H = compose(eta.functional, aug.functionals)
     zeta = AdmissibleIntegrand(H, concat_components(aug.bv, eta.bv))
@@ -670,13 +674,7 @@ def corollary_decomposition(
     y = SampledPath(x.times, np.column_stack([_sampled(F, "evaluate", x, a) for F in f_vec]), LINEAR)
     sam = np.stack([_sampled(F, "vertical", x, a) for F in f_vec])
     qv_relative = _qv_identity(y, sam, x, partition, finest).relative
-    if qv_relative > qv_gate_tol:
-        raise HypothesisError(
-            "quadratic-variation hypothesis for Y = F(., X, A) fails its gate: "
-            f"relative residual {qv_relative:.3e} > {qv_gate_tol:.3e}",
-            residual=qv_relative,
-            tol=qv_gate_tol,
-        )
+    _qv_gate(qv_relative, qv_gate_tol, "hypothesis for Y = F(., X, A)")
     eta_samples = _sampled(eta.functional, "vertical", y, eta.bv)
     horiz = np.zeros(x.n_points)
     for ell, F in enumerate(f_vec):

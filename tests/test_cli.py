@@ -444,7 +444,7 @@ def test_non_string_generator_formula_exits_two(generator, tmp_path, capsys):
     assert code == 2
     assert out == ""
     key = "expression" if "expression" in generator else "slope"
-    assert err == f"error: generator '{key}' must be a formula string\n"
+    assert err == f"error: generator '{key}' must be a formula string, got 5\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -474,6 +474,22 @@ def _set(doc, keys, value):
         ("cylinder_d1.json", ("path", "generator", "depth"), 24.0),
         ("cylinder_d3.json", ("components", 1, "component"), 2.0),
         ("percell_d2.json", ("functional", "product", 1, "compose", "inners", 1, "coordinate"), 1.0),
+        # each of these once ran, or ended in a traceback or another key's error
+        ("cylinder_d1.json", ("path", "generator", "horizon"), "1.0"),
+        ("cylinder_d1.json", ("path", "generator", "horizon"), math.inf),
+        ("cylinder_d1.json", ("tolerance",), None),
+        ("cylinder_d1.json", ("tolerance",), "0.5"),
+        ("cylinder_d1.json", ("tolerance",), math.nan),
+        ("cylinder_d1.json", ("qv_gate_tol",), "0.05"),
+        ("cylinder_d1.json", ("path", "generator", "drift"), True),
+        ("cylinder_d1.json", ("path", "generator", "scale"), True),
+        ("cylinder_d1.json", ("functional", "cylinder", "f"), 2),
+        ("cylinder_d1.json", ("functional", "cylinder", "dt"), 0),
+        ("cylinder_d1.json", ("functional", "cylinder", "hess"), "2"),
+        ("cylinder_d1.json", ("functional", "cylinder", "grad"), "2*x1"),
+        ("cylinder_d1.json", ("functional", "cylinder", "da"), [1]),
+        ("cylinder_d1.json", ("functional", "cylinder", "name"), 7),
+        ("cylinder_d1.json", ("output",), 5),
     ],
 )
 def test_non_integer_or_non_boolean_field_exits_two(golden, keys, value, tmp_path, capsys):

@@ -1,12 +1,20 @@
 """Pathwise integrals, change-of-variables reports, and associativity checks."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathwise_ito.config import (
+    build_components,
+    build_functional,
+    load_config,
+    partition_for,
+    resolve_path,
+)
 from pathwise_ito.functionals import Functional, coordinate, cylinder
 from pathwise_ito.ito import (
     AdmissibleIntegrand,
@@ -488,6 +496,18 @@ def test_associativity_gate_tolerance_is_adjustable():
     # an honest but inexact one does not
     with pytest.raises(HypothesisError):
         associativity_check(eta, [_two_x()], x, part, qv_gate_tol=0.0)
+
+
+def test_associativity_gate_fails_on_a_nan_tolerance():
+    # assoc_d2.json's inputs pass the default gate; a NaN tolerance is no gate
+    config = load_config(Path(__file__).parent / "golden" / "assoc_d2.json")
+    x = resolve_path(config)
+    part = partition_for(config, x)
+    a = build_components(config, x, part)
+    xis = [AdmissibleIntegrand(build_functional(s, x.d, a.m), a) for s in config.integrands]
+    eta = AdmissibleIntegrand(build_functional(config.outer, len(xis), 0))
+    with pytest.raises(HypothesisError):
+        associativity_check(eta, xis, x, part, levels=config.levels, qv_gate_tol=float("nan"))
 
 
 def test_associativity_requires_shared_component_path():
