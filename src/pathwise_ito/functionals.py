@@ -22,10 +22,14 @@ The product and compose combinators push all three notions through the
 standard rules, delegating to whatever the parts provide, so analytic and
 finite-difference functionals mix freely.
 
-A cylinder reads only the state (t, X(t), A(t)), so each of its analytic
-slots also has a form on stacked grid states; :func:`_state_slot` runs it
-on a whole grid at once.  Other routes read stopped, bumped and composed
-paths, which are row-lookup views that build ``values`` only when read.
+Every functional that reads only the state (t, X(t), A(t)) is built from
+maps on stacked grid states, one per analytic slot: :func:`cylinder`, a
+config's formula cylinder, :func:`coordinate`, :func:`bv_coordinate` and
+:func:`constant_functional`.  :func:`_state_slot` runs a map on a whole
+grid at once, and a call at one time runs it on a one-row stack, so both
+give the same bits.  Other routes (finite differences, product, compose)
+read stopped, bumped and composed paths, which are row-lookup views that
+build ``values`` only when read.
 """
 from __future__ import annotations
 
@@ -320,80 +324,74 @@ def fd_horizontal(
 # Built-in library
 
 
+def _state_functional(states: dict, d, m, x_domain, name) -> Functional:
+    """A Functional reading only (t, X(t), A(t)), built from stacked-state maps.
+
+    ``states`` maps each supplied slot to a callable on stacked states
+    (see :func:`_state_slot`); ``evaluate`` is required.  A call at one
+    time runs the same map on the one-row stack of x.value(t) and
+    a.value(t), so a point call and a grid pass give the same bits.
+    """
+
+    def at_state(fn):
+        if fn is None:
+            return None
+
+        def point(t, x, a):
+            A = a.value(t)[None, :] if a is not None else np.zeros((1, 0))
+            return fn(np.array([t], dtype=np.float64), x.value(t)[None, :], A)[0]
+
+        return point
+
+    F = Functional(
+        evaluate=at_state(states["evaluate"]),
+        d=d,
+        m=m,
+        vertical=at_state(states.get("vertical")),
+        vertical2=at_state(states.get("vertical2")),
+        horizontal=at_state(states.get("horizontal")),
+        x_domain=x_domain,
+        name=name,
+    )
+    F._on_states = states
+    return F
+
+
+def _constant_slopes(value: Callable, dx: np.ndarray, dh: np.ndarray, x_domain, name) -> Functional:
+    """A state functional with constant vertical ``dx`` and horizontal ``dh``."""
+    d, m = dx.shape[0], dh.shape[0] - 1
+
+    def rows(row):
+        return lambda t, X, A: np.tile(row, (t.shape[0],) + (1,) * row.ndim)
+
+    slopes = {"vertical": rows(dx), "vertical2": rows(np.zeros((d, d))), "horizontal": rows(dh)}
+    return _state_functional({"evaluate": value, **slopes}, d, m, x_domain, name)
+
+
 def coordinate(i: int = 0, d: int = 1, m: int = 0, x_domain: Domain | None = None) -> Functional:
     """F(t, X, A) = X_i(t)."""
     if not 0 <= i < d:
         raise ValueError("coordinate index out of range")
     e_i = np.zeros(d)
     e_i[i] = 1.0
-    zero_d2 = np.zeros((d, d))
-    zero_h = np.zeros(m + 1)
-    return Functional(
-        evaluate=lambda t, x, a: x.value(t)[i],
-        d=d,
-        m=m,
-        vertical=lambda t, x, a: e_i,
-        vertical2=lambda t, x, a: zero_d2,
-        horizontal=lambda t, x, a: zero_h,
-        x_domain=x_domain,
-        name=f"x{i + 1}",
-    )
+    return _constant_slopes(lambda t, X, A: X[:, i], e_i, np.zeros(m + 1), x_domain, f"x{i + 1}")
 
 
 def bv_coordinate(k: int = 0, m: int = 1, d: int = 1) -> Functional:
     """F(t, X, A) = A_k(t); horizontal derivative (0, ..., 1, ..., 0)."""
     if not 0 <= k < m:
         raise ValueError("component index out of range")
-    zero_d = np.zeros(d)
-    zero_d2 = np.zeros((d, d))
     h_vec = np.zeros(m + 1)
     h_vec[k + 1] = 1.0
-    return Functional(
-        evaluate=lambda t, x, a: a.value(t)[k],
-        d=d,
-        m=m,
-        vertical=lambda t, x, a: zero_d,
-        vertical2=lambda t, x, a: zero_d2,
-        horizontal=lambda t, x, a: h_vec,
-        name=f"a{k + 1}",
+    return _constant_slopes(lambda t, X, A: A[:, k], np.zeros(d), h_vec, None, f"a{k + 1}")
+
+
+def constant_functional(c: float, d: int = 1, m: int = 0) -> Functional:
+    """F(t, X, A) = c."""
+    value = float(c)
+    return _constant_slopes(
+        lambda t, X, A: np.full(t.shape[0], value), np.zeros(d), np.zeros(m + 1), None, f"{c:g}"
     )
-
-
-def _state_at(t: float, x, a) -> tuple[np.ndarray, np.ndarray]:
-    xv = np.atleast_1d(np.asarray(x.value(t), dtype=np.float64))
-    av = (
-        np.atleast_1d(np.asarray(a.value(t), dtype=np.float64))
-        if a is not None
-        else np.zeros(0)
-    )
-    return xv, av
-
-
-def _state_functional(point: dict, states: dict, d, m, x_domain, name) -> Functional:
-    """A Functional reading only (t, X(t), A(t)).
-
-    ``point`` maps each supplied slot to a callable (t, xv, av) on one
-    state; ``states`` maps the same slots to callables on stacked states
-    (see :func:`_state_slot`).  ``evaluate`` is required.
-    """
-
-    def at_state(fn):
-        if fn is None:
-            return None
-        return lambda t, x, a: fn(t, *_state_at(t, x, a))
-
-    F = Functional(
-        evaluate=at_state(point["evaluate"]),
-        d=d,
-        m=m,
-        vertical=at_state(point.get("vertical")),
-        vertical2=at_state(point.get("vertical2")),
-        horizontal=at_state(point.get("horizontal")),
-        x_domain=x_domain,
-        name=name,
-    )
-    F._on_states = states
-    return F
 
 
 def cylinder(
@@ -428,19 +426,16 @@ def cylinder(
             return np.concatenate([[dt(t, xv, av)], tail])
 
     point = {"evaluate": f, "vertical": grad, "vertical2": hess, "horizontal": horizontal}
-    point = {slot: fn for slot, fn in point.items() if fn is not None}
 
     def row_loop(slot, fn):
         def call(t, X, A):
-            return np.array(
-                [F._checked(slot, fn(float(t[k]), X[k], A[k])) for k in range(t.shape[0])],
-                dtype=np.float64,
-            )
+            rows = zip(t.tolist(), X, A)
+            return np.array([F._checked(slot, fn(*row)) for row in rows], dtype=np.float64)
 
         return call
 
-    states = {slot: row_loop(slot, fn) for slot, fn in point.items()}
-    F = _state_functional(point, states, d, m, x_domain, name)
+    states = {slot: row_loop(slot, fn) for slot, fn in point.items() if fn is not None}
+    F = _state_functional(states, d, m, x_domain, name)
     return F
 
 
@@ -460,9 +455,7 @@ def _formula_cylinder(
     Each formula maps equal-shape float arrays to an array of that shape
     (a :class:`~pathwise_ito.expressions.CompiledExpression`); ``grad`` and
     ``da`` list one formula per entry and ``hess`` one row of d per x
-    component.  A grid pass calls each formula once on the stacked states;
-    a call at one time runs the same formulas on one-row arrays, so both
-    give the same bits.
+    component.  A grid pass calls each formula once on the stacked states.
     """
 
     def scalar(fn):
@@ -479,27 +472,7 @@ def _formula_cylinder(
         states["vertical2"] = lambda t, X, A: np.stack([r(t, X, A) for r in rows], axis=1)
     if dt is not None and (m == 0 or da is not None):
         states["horizontal"] = columns([dt, *(da or ())])
-
-    def one_row(fn):
-        return lambda t, xv, av: fn(np.array([t], dtype=np.float64), xv[None, :], av[None, :])[0]
-
-    point = {slot: one_row(fn) for slot, fn in states.items()}
-    return _state_functional(point, states, d, m, x_domain, name)
-
-
-def constant_functional(c: float, d: int = 1, m: int = 0) -> Functional:
-    zero_d = np.zeros(d)
-    zero_d2 = np.zeros((d, d))
-    zero_h = np.zeros(m + 1)
-    return Functional(
-        evaluate=lambda t, x, a: c,
-        d=d,
-        m=m,
-        vertical=lambda t, x, a: zero_d,
-        vertical2=lambda t, x, a: zero_d2,
-        horizontal=lambda t, x, a: zero_h,
-        name=f"{c:g}",
-    )
+    return _state_functional(states, d, m, x_domain, name)
 
 
 # ---------------------------------------------------------------------------

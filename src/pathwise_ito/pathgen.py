@@ -61,10 +61,12 @@ class GeneratorSpec:
         n = int(self.base_points)
         if n < 2 or n & (n - 1) != 0:
             raise ValueError("base_points must be a power of two (and at least 2)")
-        if not self.horizon > 0.0:
-            raise ValueError("the horizon T must be positive")
+        if not 0.0 < self.horizon < np.inf:
+            raise ValueError(f"the horizon T must be finite and positive, got {self.horizon}")
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
+        if self.depth < 0:
+            raise ValueError(f"generator 'depth' must be nonnegative, got {self.depth}")
         for name in ("expression", "slope"):
             formula = getattr(self, name)
             if formula is not None and not isinstance(formula, str):
@@ -90,11 +92,18 @@ def _tent(u: np.ndarray) -> np.ndarray:
 
 
 def tent_sum(u: np.ndarray, depth: int) -> np.ndarray:
-    """sum_{m < depth} 2^(-m/2) tent(2^m u) at dyadic-friendly positions u."""
+    """sum_{m < depth} 2^(-m/2) tent(2^m u) at dyadic-friendly positions u.
+
+    Once every 2^m u is an integer, each finer term is exactly 0.0 too, so
+    the sum stops there: any larger depth gives the same bits.
+    """
     u = np.asarray(u, dtype=np.float64)
     out = np.zeros_like(u)
     for m in range(depth):
-        out += 2.0 ** (-0.5 * m) * _tent(np.ldexp(u, m))
+        term = 2.0 ** (-0.5 * m) * _tent(np.ldexp(u, m))
+        if not term.any():
+            break
+        out += term
     return out
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,22 @@ def test_gen_rejects_bad_specs(capsys):
     assert code == 2
     code, _, _ = _run(["gen", "--kind", "constant", "--n", "17"], capsys)
     assert code == 2
+    code, _, err = _run(["gen", "--kind", "brownian", "--n", "16", "--T", "inf"], capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: the horizon T must be finite and positive, got inf"]
+    code, _, err = _run(["gen", "--kind", "takagi-like", "--n", "16", "--depth", "-1"], capsys)
+    assert code == 2
+    assert err.splitlines() == ["error: generator 'depth' must be nonnegative, got -1"]
+
+
+def test_gen_takagi_depth_past_the_grid_changes_no_byte(tmp_path, capsys):
+    args = ["gen", "--kind", "takagi-like", "--n", "16", "-o"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for depth in ("24", "5000"):
+            code, _, _ = _run(args + [str(tmp_path / f"{depth}.csv"), "--depth", depth], capsys)
+            assert code == 0
+    assert (tmp_path / "5000.csv").read_bytes() == (tmp_path / "24.csv").read_bytes()
 
 
 def test_gen_round_trips_every_bit(tmp_path, capsys):

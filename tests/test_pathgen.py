@@ -16,6 +16,8 @@ def test_spec_validation():
         GeneratorSpec(kind="brownian", base_points=100)  # not a power of two
     with pytest.raises(ValueError):
         GeneratorSpec(kind="brownian", base_points=16, horizon=0.0)
+    with pytest.raises(ValueError, match="horizon"):
+        GeneratorSpec(kind="brownian", base_points=16, horizon=math.inf)
     with pytest.raises(ValueError):
         GeneratorSpec(kind="smooth", base_points=16)  # missing expression
     with pytest.raises(ValueError):
