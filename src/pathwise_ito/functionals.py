@@ -22,14 +22,17 @@ The product and compose combinators push all three notions through the
 standard rules, delegating to whatever the parts provide, so analytic and
 finite-difference functionals mix freely.
 
-Every functional that reads only the state (t, X(t), A(t)) is built from
-maps on stacked grid states, one per analytic slot: :func:`cylinder`, a
-config's formula cylinder, :func:`coordinate`, :func:`bv_coordinate` and
-:func:`constant_functional`.  :func:`_state_slot` runs a map on a whole
-grid at once, and a call at one time runs it on a one-row stack, so both
-give the same bits.  Other routes (finite differences, product, compose)
-read stopped, bumped and composed paths, which are row-lookup views that
-build ``values`` only when read.
+One constructor, :func:`_combined`, builds the built-ins and the
+combinators alike: each slot is one rule over stacked rows.  A leaf reads
+the grid states (t, X(t), A(t)): :func:`cylinder`, a config's formula
+cylinder, :func:`coordinate`, :func:`bv_coordinate`,
+:func:`constant_functional`.  A combinator (:func:`product`, :func:`compose`,
+the recentering in ``ito.augment``) reads its parts' rows.  A call at one
+time runs the rule on one-row stacks; where every part has a state form it
+also runs once on a whole grid (:func:`_state_slot`), in O(N), with the
+same bits.  General parts and finite-difference slots go point by point:
+they read stopped, bumped and composed paths, row-lookup views that build
+``values`` only when read.
 """
 from __future__ import annotations
 
@@ -47,13 +50,13 @@ from .paths import (
     PartitionSequence,
     SampledPath,
     _bumped,
-    _check_domain,
     _domain_mask,
     stop,
 )
 from .qv import qv_matrix
 
 _DERIV_GUARD = 1e-14
+_NO_COMPONENTS = np.zeros((1, 0))  # A of a one-row state when m = 0
 
 
 def _default_vertical_h(x) -> float:
@@ -106,9 +109,8 @@ class Functional:
         self._vertical = vertical
         self._vertical2 = vertical2
         self._horizontal = horizontal
-        # Slot name -> callable on stacked states (t, X, A) with shapes
-        # (n,), (n, d), (n, m), for functionals that read only the state
-        # at t; see _state_slot.
+        # Slot name -> map on stacked states (t, X, A), for each slot with a
+        # state form; see _combined and _state_slot.
         self._on_states: dict[str, Callable] = {}
 
     def _check_args(self, x, a) -> None:
@@ -324,48 +326,65 @@ def fd_horizontal(
 # Built-in library
 
 
-def _state_functional(states: dict, d, m, x_domain, name) -> Functional:
-    """A Functional reading only (t, X(t), A(t)), built from stacked-state maps.
+def _combined(
+    rules: dict, d, m, x_domain, name, parts=(), point_args=None, state_args=None
+) -> Functional:
+    """A Functional whose slots are row rules, over the states or over parts.
 
-    ``states`` maps each supplied slot to a callable on stacked states
-    (see :func:`_state_slot`); ``evaluate`` is required.  A call at one
-    time runs the same map on the one-row stack of x.value(t) and
-    a.value(t), so a point call and a grid pass give the same bits.
+    ``rules`` maps each supplied slot (``evaluate`` is required) to
+    ``rule(get)``.  A leaf (no ``parts``) reads the stacked states
+    ``get(None)`` = (t, X, A), shaped (n,), (n, d), (n, m); a combinator
+    reads ``get(i, slot)``, the rows of ``parts[i]``'s slot on the data
+    ``point_args(t, x, a)[i]`` at a point or ``state_args(t, X, A)[i]`` on
+    states (both default to the functional's own).  A point call runs the
+    rule on one-row stacks, so general parts work too; where every part has
+    state maps for evaluate, vertical and the slot, it also runs once on all
+    grid rows (see :func:`_state_slot`), with the same bits.
     """
 
-    def at_state(fn):
-        if fn is None:
-            return None
+    def routes(rule):
+        def on_states(t, X, A):
+            if not parts:
+                return rule(lambda i: (t, X, A))
+            args = state_args(t, X, A) if state_args else [(X, A)] * len(parts)
+            return rule(lambda i, slot: parts[i]._on_states[slot](t, *args[i]))
 
         def point(t, x, a):
-            A = a.value(t)[None, :] if a is not None else np.zeros((1, 0))
-            return fn(np.array([t], dtype=np.float64), x.value(t)[None, :], A)[0]
+            if not parts:
+                A = a.value(t)[None] if a is not None else _NO_COMPONENTS
+                states = (np.array([t], dtype=np.float64), x.value(t)[None], A)
+                return rule(lambda i: states)[0]
+            args = point_args(t, x, a) if point_args else [(x, a)] * len(parts)
 
-        return point
+            def get(i, slot):
+                value = getattr(parts[i], slot)(t, *args[i])
+                return np.array([value]) if slot == "evaluate" else value[None]
 
+            return rule(get)[0]
+
+        return point, on_states
+
+    slots = {slot: routes(rule) for slot, rule in rules.items()}
     F = Functional(
-        evaluate=at_state(states["evaluate"]),
-        d=d,
-        m=m,
-        vertical=at_state(states.get("vertical")),
-        vertical2=at_state(states.get("vertical2")),
-        horizontal=at_state(states.get("horizontal")),
-        x_domain=x_domain,
-        name=name,
+        d=d, m=m, x_domain=x_domain, name=name, **{s: point for s, (point, _) in slots.items()}
     )
-    F._on_states = states
+    F._on_states = {
+        slot: on_states
+        for slot, (_, on_states) in slots.items()
+        if all({"evaluate", "vertical", slot} <= p._on_states.keys() for p in parts)
+    }
     return F
 
 
 def _constant_slopes(value: Callable, dx: np.ndarray, dh: np.ndarray, x_domain, name) -> Functional:
-    """A state functional with constant vertical ``dx`` and horizontal ``dh``."""
+    """A leaf with the value rule ``value``, constant vertical ``dx`` and horizontal ``dh``."""
     d, m = dx.shape[0], dh.shape[0] - 1
 
     def rows(row):
-        return lambda t, X, A: np.tile(row, (t.shape[0],) + (1,) * row.ndim)
+        return lambda get: np.tile(row, (len(get(None)[0]),) + (1,) * row.ndim)
 
     slopes = {"vertical": rows(dx), "vertical2": rows(np.zeros((d, d))), "horizontal": rows(dh)}
-    return _state_functional({"evaluate": value, **slopes}, d, m, x_domain, name)
+    return _combined({"evaluate": value, **slopes}, d, m, x_domain, name)
 
 
 def coordinate(i: int = 0, d: int = 1, m: int = 0, x_domain: Domain | None = None) -> Functional:
@@ -374,7 +393,11 @@ def coordinate(i: int = 0, d: int = 1, m: int = 0, x_domain: Domain | None = Non
         raise ValueError("coordinate index out of range")
     e_i = np.zeros(d)
     e_i[i] = 1.0
-    return _constant_slopes(lambda t, X, A: X[:, i], e_i, np.zeros(m + 1), x_domain, f"x{i + 1}")
+
+    def x_i(get):
+        return get(None)[1][:, i]
+
+    return _constant_slopes(x_i, e_i, np.zeros(m + 1), x_domain, f"x{i + 1}")
 
 
 def bv_coordinate(k: int = 0, m: int = 1, d: int = 1) -> Functional:
@@ -383,14 +406,14 @@ def bv_coordinate(k: int = 0, m: int = 1, d: int = 1) -> Functional:
         raise ValueError("component index out of range")
     h_vec = np.zeros(m + 1)
     h_vec[k + 1] = 1.0
-    return _constant_slopes(lambda t, X, A: A[:, k], np.zeros(d), h_vec, None, f"a{k + 1}")
+    return _constant_slopes(lambda get: get(None)[2][:, k], np.zeros(d), h_vec, None, f"a{k + 1}")
 
 
 def constant_functional(c: float, d: int = 1, m: int = 0) -> Functional:
     """F(t, X, A) = c."""
     value = float(c)
     return _constant_slopes(
-        lambda t, X, A: np.full(t.shape[0], value), np.zeros(d), np.zeros(m + 1), None, f"{c:g}"
+        lambda get: np.full(len(get(None)[0]), value), np.zeros(d), np.zeros(m + 1), None, f"{c:g}"
     )
 
 
@@ -428,14 +451,15 @@ def cylinder(
     point = {"evaluate": f, "vertical": grad, "vertical2": hess, "horizontal": horizontal}
 
     def row_loop(slot, fn):
-        def call(t, X, A):
+        def call(get):
+            t, X, A = get(None)
             rows = zip(t.tolist(), X, A)
             return np.array([F._checked(slot, fn(*row)) for row in rows], dtype=np.float64)
 
         return call
 
-    states = {slot: row_loop(slot, fn) for slot, fn in point.items() if fn is not None}
-    F = _state_functional(states, d, m, x_domain, name)
+    rules = {slot: row_loop(slot, fn) for slot, fn in point.items() if fn is not None}
+    F = _combined(rules, d, m, x_domain, name)
     return F
 
 
@@ -458,21 +482,22 @@ def _formula_cylinder(
     component.  A grid pass calls each formula once on the stacked states.
     """
 
-    def scalar(fn):
-        return lambda t, X, A: fn(t, *X.T, *A.T)
+    def flat(get):
+        t, X, A = get(None)
+        return (t, *X.T, *A.T)
 
     def columns(fns):
-        return lambda t, X, A: np.stack([fn(t, *X.T, *A.T) for fn in fns], axis=-1)
+        return lambda get: np.stack([fn(*flat(get)) for fn in fns], axis=-1)
 
-    states = {"evaluate": scalar(f)}
+    rules = {"evaluate": lambda get: f(*flat(get))}
     if grad is not None:
-        states["vertical"] = columns(grad)
+        rules["vertical"] = columns(grad)
     if hess is not None:
         rows = [columns(row) for row in hess]
-        states["vertical2"] = lambda t, X, A: np.stack([r(t, X, A) for r in rows], axis=1)
+        rules["vertical2"] = lambda get: np.stack([r(get) for r in rows], axis=1)
     if dt is not None and (m == 0 or da is not None):
-        states["horizontal"] = columns([dt, *(da or ())])
-    return _state_functional(states, d, m, x_domain, name)
+        rules["horizontal"] = columns([dt, *(da or ())])
+    return _combined(rules, d, m, x_domain, name)
 
 
 # ---------------------------------------------------------------------------
@@ -518,34 +543,25 @@ def product(F: Functional, G: Functional) -> Functional:
     if (F.d, F.m) != (G.d, G.m):
         raise ValueError("product needs matching (d, m)")
 
-    def _eval(t, x, a):
-        return F.evaluate(t, x, a) * G.evaluate(t, x, a)
+    def leibniz(get, slot, rows=np.s_[:, None]):
+        # G F' + F G', with ``rows`` spreading each value over the slot's axes
+        g, f_slot = get(1, "evaluate"), get(0, slot)
+        f, g_slot = get(0, "evaluate"), get(1, slot)
+        return g[rows] * f_slot + f[rows] * g_slot
 
-    def _vertical(t, x, a):
-        return G.evaluate(t, x, a) * F.vertical(t, x, a) + F.evaluate(t, x, a) * G.vertical(t, x, a)
+    def vertical2(get):
+        fv, gv = get(0, "vertical"), get(1, "vertical")
+        out = leibniz(get, "vertical2", np.s_[:, None, None]) + fv[:, :, None] * gv[:, None, :]
+        return out + gv[:, :, None] * fv[:, None, :]
 
-    def _vertical2(t, x, a):
-        fv, gv = F.vertical(t, x, a), G.vertical(t, x, a)
-        return (
-            G.evaluate(t, x, a) * F.vertical2(t, x, a)
-            + F.evaluate(t, x, a) * G.vertical2(t, x, a)
-            + np.outer(fv, gv)
-            + np.outer(gv, fv)
-        )
-
-    def _horizontal(t, x, a):
-        return G.evaluate(t, x, a) * F.horizontal(t, x, a) + F.evaluate(t, x, a) * G.horizontal(t, x, a)
-
-    return Functional(
-        evaluate=_eval,
-        d=F.d,
-        m=F.m,
-        vertical=_vertical,
-        vertical2=_vertical2,
-        horizontal=_horizontal,
-        x_domain=_merge_domains(F.x_domain, G.x_domain),
-        name=f"({F.name})*({G.name})",
-    )
+    rules = {
+        "evaluate": lambda get: get(0, "evaluate") * get(1, "evaluate"),
+        "vertical": lambda get: leibniz(get, "vertical"),
+        "vertical2": vertical2,
+        "horizontal": lambda get: leibniz(get, "horizontal"),
+    }
+    domain = _merge_domains(F.x_domain, G.x_domain)
+    return _combined(rules, F.d, F.m, domain, f"({F.name})*({G.name})", parts=(F, G))
 
 
 def compose(outer: Functional, inners: Sequence[Functional]) -> Functional:
@@ -554,30 +570,30 @@ def compose(outer: Functional, inners: Sequence[Functional]) -> Functional:
     The returned functional drives d path components and m + q extra
     components, where m is shared by the inner functionals and q belongs
     to the outer one; a caller passes (A, B) as one component path, split
-    positionally.
+    positionally.  Inner values outside the outer functional's domain
+    raise DomainError naming the first such time.
     """
     inners = list(inners)
+    k, q = len(inners), outer.m
     if not inners:
         raise ValueError("compose needs at least one inner functional")
-    if outer.d != len(inners):
-        raise ValueError(
-            f"outer functional drives {outer.d} components, got {len(inners)} inners"
-        )
-    d = inners[0].d
-    m = inners[0].m
+    if outer.d != k:
+        raise ValueError(f"outer functional drives {outer.d} components, got {k} inners")
+    d, m = inners[0].d, inners[0].m
     if any((f.d, f.m) != (d, m) for f in inners):
         raise ValueError("inner functionals must share (d, m)")
-    q = outer.m
     dom = None
     for f in inners:
         dom = _merge_domains(dom, f.x_domain)
+    name = f"{outer.name}({', '.join(f.name for f in inners)})"
 
-    def _split(ab):
-        a = ab.slice_components(0, m) if m else None
-        bb = ab.slice_components(m, m + q) if q else None
-        return a, bb
+    def check(times, rows):
+        bad = [] if outer.x_domain is None else np.flatnonzero(~_domain_mask(rows, outer.x_domain))
+        if len(bad):
+            t = float(times[bad[0]])
+            raise DomainError(f"{name}: inner values at t={t!r} leave the domain of {outer.name}")
 
-    def _inner_path(x, a):
+    def inner_path(x, a):
         # t -> (inners)(t, X, A), computed and memoised per requested time;
         # value(t) evaluates the inners at t itself, on the grid or off it.
         cache: dict[float, np.ndarray] = {}
@@ -587,64 +603,56 @@ def compose(outer: Functional, inners: Sequence[Functional]) -> Functional:
             vec = cache.get(key)
             if vec is None:
                 vec = np.array([f.evaluate(key, x, a) for f in inners])
-                _check_domain(vec[None, :], outer.x_domain)
+                check([key], vec[None, :])
                 vec.setflags(write=False)
                 cache[key] = vec
             return vec
 
         return SampledPath._make(
-            times=x.times, d=len(inners), interpolation=LINEAR, domain=outer.x_domain,
+            times=x.times, d=k, interpolation=LINEAR, domain=outer.x_domain,
             value=value, _row=lambda i: value(x.times[i]),
             _build=lambda: np.array([value(t) for t in x.times]),
         )
 
-    def _eval(t, x, ab):
-        a, bb = _split(ab)
-        return outer.evaluate(t, _inner_path(x, a), bb)
+    def point_args(t, x, ab):
+        a = ab.slice_components(0, m) if m else None
+        return [(inner_path(x, a), ab.slice_components(m, m + q) if q else None)] + [(x, a)] * k
 
-    def _vertical(t, x, ab):
-        a, bb = _split(ab)
-        y = _inner_path(x, a)
-        gout = outer.vertical(t, y, bb)
-        jac = np.stack([f.vertical(t, x, a) for f in inners])
-        return jac.T @ gout
+    def state_args(t, X, AB):
+        A = AB[:, :m]
+        Y = np.stack([f._on_states["evaluate"](t, X, A) for f in inners], axis=1)
+        check(t, Y)
+        return [(Y, AB[:, m:])] + [(X, A)] * k
 
-    def _vertical2(t, x, ab):
-        a, bb = _split(ab)
-        y = _inner_path(x, a)
-        gout = outer.vertical(t, y, bb)
-        g2 = outer.vertical2(t, y, bb)
-        jac = np.stack([f.vertical(t, x, a) for f in inners])
-        out = jac.T @ g2 @ jac
-        for weight, f in zip(gout, inners):
-            out = out + weight * f.vertical2(t, x, a)
-        return 0.5 * (out + out.T)
+    def jacobian(get):
+        # (n, k, d): the stacked matmuls below then give the bits of jac.T @ v
+        return np.stack([get(i, "vertical") for i in range(1, k + 1)], axis=1)
 
-    def _horizontal(t, x, ab):
-        a, bb = _split(ab)
-        y = _inner_path(x, a)
-        gout = outer.vertical(t, y, bb)
-        gh = outer.horizontal(t, y, bb)
-        out = np.zeros(m + q + 1)
-        out[0] = gh[0]
-        for weight, f in zip(gout, inners):
-            fh = f.horizontal(t, x, a)
-            out[0] += weight * fh[0]
-            out[1 : m + 1] += weight * fh[1:]
-        out[m + 1 :] = gh[1:]
+    def vertical(get):
+        gout = get(0, "vertical")
+        return np.matmul(jacobian(get).transpose(0, 2, 1), gout[:, :, None])[:, :, 0]
+
+    def vertical2(get):
+        gout, g2, J = get(0, "vertical"), get(0, "vertical2"), jacobian(get)
+        out = np.matmul(np.matmul(J.transpose(0, 2, 1), g2), J)
+        for i in range(k):
+            out = out + gout[:, i, None, None] * get(i + 1, "vertical2")
+        return 0.5 * (out + out.transpose(0, 2, 1))
+
+    def horizontal(get):
+        gout, gh = get(0, "vertical"), get(0, "horizontal")
+        out = np.zeros((gh.shape[0], m + q + 1))
+        out[:, 0] = gh[:, 0]
+        for i in range(k):
+            fh = get(i + 1, "horizontal")
+            out[:, 0] += gout[:, i] * fh[:, 0]
+            out[:, 1 : m + 1] += gout[:, i, None] * fh[:, 1:]
+        out[:, m + 1 :] = gh[:, 1:]
         return out
 
-    inner_names = ", ".join(f.name for f in inners)
-    return Functional(
-        evaluate=_eval,
-        d=d,
-        m=m + q,
-        vertical=_vertical,
-        vertical2=_vertical2,
-        horizontal=_horizontal,
-        x_domain=dom,
-        name=f"{outer.name}({inner_names})",
-    )
+    rules = dict(evaluate=lambda get: get(0, "evaluate"), vertical=vertical, vertical2=vertical2,
+                 horizontal=horizontal)
+    return _combined(rules, d, m + q, dom, name, (outer, *inners), point_args, state_args)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,14 @@ t, and at a partition point s the pre-step path's state is exactly
 (s, X(s), A(s)).  So each analytic slot of a cylinder is evaluated once
 on the grid's (times, X, A) arrays, and a level gathers its left
 partition rows and multiplies them with dX: O(N) per level, the same
-bits as the per-cell sum.  Every other functional (products, compositions,
-the recentered functionals of an augmented system, and any slot that
-falls back to finite differences) runs cell by cell on a pre-step view of
-X, and is sampled point by point: O(log N) a cell or point if it reads
-only value and left_limit, O(N) if it reads ``.values`` or an FD slot.
+bits as the per-cell sum.  Products, compositions and the recentered
+functionals of an augmented system whose parts are all state-only do the
+same, since each of their slots is one row rule over the parts' rows.
+Only general functionals, and any slot that falls back to finite
+differences (with every combinator above it), run cell by cell on a
+pre-step view of X and are sampled point by point: O(log N) a cell or
+point if they read only value and left_limit, O(N) if they read
+``.values`` or an FD slot.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import Functional, _state_slot, compose
+from .functionals import Functional, _combined, _state_slot, bv_coordinate, compose
 from .paths import (
     BVPath,
     DomainError,
@@ -451,27 +454,21 @@ class AugmentedSystem:
 
 
 def _augmented_functional(F: Functional, ell: int, m: int, nu: int, c: float) -> Functional:
-    def _inner(ab):
-        return ab.slice_components(0, m) if m else None
+    """F - c - a_(m+ell) on the extended data: the -1 horizontal is a_(m+ell)'s own slope."""
+    a_new = bv_coordinate(m + ell, m + nu, F.d)
 
-    def _eval(t, x2, ab):
-        return F.evaluate(t, x2, _inner(ab)) - c - float(ab.value(t)[m + ell])
+    def minus_a(slot):
+        return lambda get: get(0, slot) - get(1, slot)
 
-    def _horizontal(t, x2, ab):
-        out = np.zeros(m + nu + 1)
-        out[: m + 1] = F.horizontal(t, x2, _inner(ab))
-        out[m + 1 + ell] = -1.0
-        return out
-
-    return Functional(
-        evaluate=_eval,
-        d=F.d,
-        m=m + nu,
-        vertical=lambda t, x2, ab: F.vertical(t, x2, _inner(ab)),
-        vertical2=lambda t, x2, ab: F.vertical2(t, x2, _inner(ab)),
-        horizontal=_horizontal,
-        x_domain=F.x_domain,
-        name=f"{F.name} recentered",
+    rules = {slot: minus_a(slot) for slot in ("vertical", "vertical2")}
+    rules["evaluate"] = lambda get: get(0, "evaluate") - c - get(1, "evaluate")
+    # F reads no appended component, so its horizontal is 0 along them
+    pad = ((0, 0), (0, nu))
+    rules["horizontal"] = lambda get: np.pad(get(0, "horizontal"), pad) - get(1, "horizontal")
+    return _combined(
+        rules, F.d, m + nu, F.x_domain, f"{F.name} recentered", (F, a_new),
+        point_args=lambda t, x, ab: [(x, ab.slice_components(0, m) if m else None), (x, ab)],
+        state_args=lambda t, X, AB: [(X, AB[:, :m]), (X, AB)],
     )
 
 

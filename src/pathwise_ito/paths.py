@@ -248,11 +248,6 @@ class SampledPath:
         """Index of grid time t; raises GridError if t is not on the grid."""
         return _grid_index(self.times, float(t))
 
-    def scalar(self, t: float) -> float:
-        if self.d != 1:
-            raise ValueError("scalar() needs a one-component path")
-        return float(self.value(t)[0])
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"{type(self).__name__}(n={self.n_points}, d={self.d}, "
@@ -354,9 +349,6 @@ class PartitionSequence:
 
     def num_cells(self, level: int) -> int:
         return self.indices(level).shape[0] - 1
-
-    def mesh(self, level: int) -> float:
-        return float(np.max(np.diff(self.points(level))))
 
     def contains(self, level: int, t: float) -> bool:
         return _grid_match(self.points(level), t) is not None

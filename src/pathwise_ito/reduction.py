@@ -14,8 +14,9 @@ def map_chunked(fill: Callable[[int, int, np.ndarray], None], out: np.ndarray) -
     """Fill ``out`` along its first axis with one call ``fill(0, n, out)``.
 
     The named stage around the per-cell fill loop that general functionals
-    (products, compositions, recentered and finite-difference slots) need;
-    benchmark traces time it by this name.  State-only integrands skip it.
+    and finite-difference slots need (and any product, composition or
+    recentering that has such a part); benchmark traces time it by this
+    name.  State-only integrands, combinators of them included, skip it.
     """
     fill(0, out.shape[0], out)
     return out

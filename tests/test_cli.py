@@ -16,6 +16,7 @@ from pathwise_ito.cli import cli_main
 from pathwise_ito.paths import load_sampled_path
 from pathwise_ito.qv import qv_scalar
 from pathwise_ito.paths import PartitionSequence
+from pathwise_ito.pathgen import GeneratorSpec, generate
 
 
 def _run(argv, capsys):
@@ -431,6 +432,35 @@ def test_non_finite_term_prints_only_the_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: non-finite ito term xi . dX at level 4, grid time 0.0\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["integrate", "ito-check"])
+@pytest.mark.parametrize("state_route", [True, False], ids=["state-route", "per-cell"])
+def test_compose_names_the_time_its_inner_values_leave_the_outer_domain(
+    command, state_route, tmp_path, capsys
+):
+    # x1 + 1 on this path first drops to <= 0 at grid index 66.  With an
+    # analytic inner gradient the composition runs on all grid rows at once
+    # and names that row; without one it runs cell by cell from the coarsest
+    # level, whose first bad left point comes later.
+    gen = {"kind": "brownian", "base_points": 256, "seed": 3, "scale": 3.0}
+    inner = {"f": "x1 + 1", "grad": ["1"]} if state_route else {"f": "x1 + 1"}
+    outer = {"f": "log(x1)", "grad": ["1/x1"], "positive": True}
+    doc = {
+        "path": {"generator": gen},
+        "functional": {"compose": {"outer": {"cylinder": outer}, "inners": [{"cylinder": inner}]}},
+        "levels": [4, 6, 8],
+    }
+    x = generate(GeneratorSpec(**gen))
+    bad = x.values[:, 0] + 1.0 <= 0.0
+    rows = np.arange(x.n_points) if state_route else PartitionSequence(x.times, 8).indices(4)
+    first = rows[np.argmax(bad[rows])]
+    assert bad[first] and (first == 66) == state_route
+    code, out, err = _run([command, "-c", _write_config(tmp_path, doc)], capsys)
+    assert code == 1 and out == ""
+    t = float(x.times[first])
+    assert err == f"error: log(x1)(x1 + 1): inner values at t={t!r} leave the domain of log(x1)\n"
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

@@ -36,8 +36,10 @@ CASES = {
     "integrate_d3.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d3.json")],
     "ito_check_d3.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d3.json")],
     "assoc_check_d2.csv": ["assoc-check", "-c", str(GOLDEN / "assoc_d2.json")],
-    # A product and a composition with finite-difference slots: no state
-    # form, so every cell and grid time runs on a stopped or pre-step path.
+    # A product and a composition with finite-difference slots: vertical
+    # and evaluate run on all grid rows at once, while the vertical2 and
+    # horizontal slots that finite differences reach run point by point on
+    # stopped and bumped paths.
     "integrate_percell_d2.csv": ["integrate", "-c", str(GOLDEN / "percell_d2.json")],
     "ito_check_percell_d2.csv": ["ito-check", "-c", str(GOLDEN / "percell_d2.json")],
     # Every layout of the CSV writer: fixed with leading zeros, with an

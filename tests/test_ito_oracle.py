@@ -20,6 +20,20 @@ from that error model, not from measured residuals:
 Here |F| is the largest sum of absolute monomial values of F on the grid.
 A coupled F (``x1**2 + t*x1 + a1*x2``) misses the analytic bound at the
 coarsest level, which shows the oracle can fail.
+
+The same class is closed under the combinators that stay quadratic: a
+product of two coordinates, and a quadratic outer composed with affine
+inners.  Their ``ito-check`` residuals take the same bound, with every
+monomial, gradient and Hessian entry replaced by the absolute-value form
+of the chain and Leibniz rules that compute it.
+
+``assoc-check`` is exact at the finest level for integrands in this class:
+there a cell of Y is one left-point term xi . dX, and the recentered
+functional equals Y at every grid time because the discrete formula is
+exact.  So the finest residual is rounding, bounded by K eps times the sum
+of |grad eta| (|dY| + |Y|) over the cells, where |Y| is the rounding of Y's
+running sum that each difference of Y inherits, plus the shift of grad eta
+that the recentered functionals' own rounding causes.
 """
 import json
 import os
@@ -80,22 +94,38 @@ def _bound(x, a, level, F_abs, G, H, Hz, fd_hess, fd_horiz):
     return K * EPS * scale
 
 
-def _ito_check(workdir, path_args, comps, cylinder):
-    """Run ``gen`` then ``ito-check`` in process; (path rows, residual per level)."""
+def _run(workdir, path_args, command, doc):
+    """Run ``gen``, then ``command`` on doc and that path, in process; (path rows, table)."""
     path = os.path.join(workdir, "x.csv")
     assert cli_main(["gen", "--kind", "brownian", *map(str, path_args), "-o", path]) == 0
     config = os.path.join(workdir, "c.json")
     with open(config, "w", encoding="utf-8") as fh:
-        json.dump({
-            "path": {"file": path},
-            "components": [{"kind": kind, "component": i} for kind, i in comps],
-            "functional": {"cylinder": cylinder},
-        }, fh)
-    table = os.path.join(workdir, "check.csv")
-    assert cli_main(["ito-check", "-c", config, "-o", table]) == 0
+        json.dump({"path": {"file": path}, **doc}, fh)
+    table = os.path.join(workdir, "out.csv")
+    assert cli_main([command, "-c", config, "-o", table]) == 0
     x = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    rows = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)
+    # genfromtxt: the first assoc-check row leaves its ratio empty
+    return x, np.genfromtxt(table, delimiter=",", skip_header=1, ndmin=2)
+
+
+def _ito_check(workdir, path_args, comps, functional):
+    """``ito-check`` of a functional spec; (path rows, levels, residual per level)."""
+    components = [{"kind": kind, "component": i} for kind, i in comps]
+    doc = {"components": components, "functional": functional}
+    x, rows = _run(workdir, path_args, "ito-check", doc)
     return x, rows[:, 0].astype(int), rows[:, -1]
+
+
+def _path_args(draw, d, sizes):
+    """``gen`` options for a drawn Brownian path."""
+    return [
+        "--n", draw(st.sampled_from(sizes)),
+        "--d", d,
+        "--T", draw(st.sampled_from([0.5, 1.0, 3.0])),
+        "--seed", draw(st.integers(0, 2**16)),
+        "--drift", draw(COEF),
+        "--scale", draw(st.sampled_from([0.25, 1.0, 4.0])),
+    ]
 
 
 @st.composite
@@ -111,14 +141,7 @@ def _quadratic_configs(draw):
     b = [draw(COEF) for _ in range(d)]
     alpha, q0 = draw(COEF), draw(COEF)
     c = [draw(COEF) for _ in comps]
-    path_args = [
-        "--n", draw(st.sampled_from([64, 256, 1024])),
-        "--d", d,
-        "--T", draw(st.sampled_from([0.5, 1.0, 3.0])),
-        "--seed", draw(st.integers(0, 2**16)),
-        "--drift", draw(COEF),
-        "--scale", draw(st.sampled_from([0.25, 1.0, 4.0])),
-    ]
+    path_args = _path_args(draw, d, [64, 256, 1024])
     fd = draw(st.fixed_dictionaries({slot: st.booleans() for slot in ("hess", "dt", "da")}))
     return d, comps, upper, H, b, alpha, q0, c, path_args, fd
 
@@ -145,7 +168,7 @@ def test_ito_check_residual_of_a_quadratic_is_rounding_only(case):
     if not fd["da"]:
         cylinder["da"] = [repr(v) for v in c]
     with tempfile.TemporaryDirectory() as workdir:
-        x, levels, residuals = _ito_check(workdir, path_args, comps, cylinder)
+        x, levels, residuals = _ito_check(workdir, path_args, comps, {"cylinder": cylinder})
     xs, a = x[:, 1:], _components(x, comps)
     F_abs = (
         sum(abs(v) * np.abs(xs[:, i] * xs[:, j]) for (i, j), v in upper.items())
@@ -173,7 +196,7 @@ def test_a_coupled_functional_misses_the_bound_at_the_coarsest_level():
     comps = [("time-average", 0)]
     with tempfile.TemporaryDirectory() as workdir:
         x, levels, residuals = _ito_check(
-            workdir, ["--n", 1024, "--d", 2, "--seed", 5], comps, cylinder
+            workdir, ["--n", 1024, "--d", 2, "--seed", 5], comps, {"cylinder": cylinder}
         )
     t, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
     a = _components(x, comps)
@@ -183,3 +206,119 @@ def test_a_coupled_functional_misses_the_bound_at_the_coarsest_level():
     Hz = np.column_stack([x1, x2])
     assert levels[0] == 1
     assert abs(residuals[0]) > _bound(x, a, 1, F_abs, G, H, Hz, False, False)
+
+
+# ---------------------------------------------------------------------------
+# Combinators that stay quadratic, and assoc-check
+
+
+def _num(v: float) -> str:
+    return f"({float(v)!r})"
+
+
+@st.composite
+def _quadratic(draw, k):
+    """Q(y) = y' H y / 2 + b . y + q0 on k variables: (H, b, q0, cylinder spec)."""
+    upper = {(i, j): draw(COEF) for i in range(k) for j in range(i, k)}
+    H = np.array([[upper[min(i, j), max(i, j)] * (2.0 if i == j else 1.0)
+                   for j in range(k)] for i in range(k)])
+    b = np.array([draw(COEF) for _ in range(k)])
+    q0 = draw(COEF)
+    xn = [f"x{i + 1}" for i in range(k)]
+    monomials = [f"{_num(v)}*{xn[i]}*{xn[j]}" for (i, j), v in upper.items()]
+    monomials += [f"{_num(v)}*{xn[i]}" for i, v in enumerate(b)] + [_num(q0)]
+    spec = {
+        "f": " + ".join(monomials),
+        "grad": [" + ".join([f"{_num(H[i, j])}*{xn[j]}" for j in range(k)] + [_num(b[i])])
+                 for i in range(k)],
+        "hess": [[_num(H[i, j]) for j in range(k)] for i in range(k)],
+        "dt": "0",
+    }
+    return H, b, q0, spec
+
+
+@st.composite
+def _quadratic_functionals(draw, d):
+    """A product of coordinates or a quadratic of affine inners, as a config
+    spec and as absolute-value forms: fn(x) -> (F_abs, G_abs, xi), H_abs."""
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        spec = {"product": [{"coordinate": i}, {"coordinate": j}]}
+        E = np.eye(d)
+        H = np.outer(E[i], E[j]) + np.outer(E[j], E[i])
+
+        def forms(xs):
+            xi = xs[:, j:j + 1] * E[i] + xs[:, i:i + 1] * E[j]
+            return np.abs(xs[:, i] * xs[:, j]), np.abs(xi), xi
+
+        return spec, forms, np.abs(H)
+    k = draw(st.integers(1, 3))
+    W = np.array([[draw(COEF) for _ in range(d)] for _ in range(k)])
+    c = np.array([draw(COEF) for _ in range(k)])
+    HQ, b, q0, outer = draw(_quadratic(k))
+    inners = [{"cylinder": {
+        "f": " + ".join([f"{_num(W[r, i])}*x{i + 1}" for i in range(d)] + [_num(c[r])]),
+        "grad": [_num(W[r, i]) for i in range(d)],
+        "hess": [["0"] * d for _ in range(d)],
+        "dt": "0",
+    }} for r in range(k)]
+    spec = {"compose": {"outer": {"cylinder": outer}, "inners": inners}}
+
+    def forms(xs):
+        y, y_abs = xs @ W.T + c, np.abs(xs) @ np.abs(W).T + np.abs(c)
+        F_abs = 0.5 * np.sum((y_abs @ np.abs(HQ)) * y_abs, axis=1) + y_abs @ np.abs(b) + abs(q0)
+        return F_abs, (y_abs @ np.abs(HQ) + np.abs(b)) @ np.abs(W), (y @ HQ + b) @ W
+
+    return spec, forms, np.abs(W).T @ np.abs(HQ) @ np.abs(W)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_ito_check_of_a_quadratic_combinator_is_rounding_only(data):
+    d = data.draw(st.integers(1, 3))
+    spec, forms, H_abs = data.draw(_quadratic_functionals(d))
+    path_args = _path_args(data.draw, d, [64, 256, 1024])
+    with tempfile.TemporaryDirectory() as workdir:
+        x, levels, residuals = _ito_check(workdir, path_args, [], spec)
+    F_abs, G_abs, _ = forms(x[:, 1:])
+    a, Hz = np.zeros((x.shape[0], 0)), np.zeros((x.shape[0], 1))
+    for level, residual in zip(levels, residuals):
+        bound = _bound(x, a, level, F_abs, G_abs, H_abs, Hz, False, False)
+        assert abs(residual) <= bound, (level, residual, bound, spec)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_assoc_check_of_quadratic_combinators_is_exact_at_the_finest_level(data):
+    d = data.draw(st.integers(1, 3))
+    nu = data.draw(st.integers(1, 2))
+    drawn = [data.draw(_quadratic_functionals(d)) for _ in range(nu)]
+    H_eta, b_eta, _, eta = data.draw(_quadratic(nu))
+    path_args = _path_args(data.draw, d, [64, 256])
+    doc = {
+        "outer": {"cylinder": eta},
+        "integrands": [spec for spec, _, _ in drawn],
+        "levels": [2, 4, 6],
+        # the Y-QV gate is not under test here
+        "qv_gate_tol": 1e300,
+    }
+    with tempfile.TemporaryDirectory() as workdir:
+        x, table = _run(workdir, path_args, "assoc-check", doc)
+    assert list(table[:, 0]) == [2, 4, 6]
+    xs = x[:, 1:]
+    dx = np.abs(np.diff(xs, axis=0))
+    shift = np.zeros(nu)  # how far rounding can move each recentered value from Y
+    dY_abs, Y_abs = [], []
+    for ell, (_, forms, H_abs) in enumerate(drawn):
+        F_abs, G_abs, xi = forms(xs)
+        cell = np.sum(G_abs[:-1] * dx, axis=1)
+        dY_abs.append(cell)
+        Y_abs.append(np.cumsum(cell))
+        qv = 0.5 * np.sum((dx @ H_abs) * dx)
+        shift[ell] = 2.0 * F_abs.max() + cell.sum() + qv
+    dY_abs, Y_abs = np.array(dY_abs).T, np.array(Y_abs).T
+    grad_eta = Y_abs @ np.abs(H_eta) + np.abs(b_eta)
+    Y_start = np.vstack([np.zeros((1, nu)), Y_abs[:-1]])
+    scale = np.sum(grad_eta * (Y_start + dY_abs + Y_abs)) + np.sum((np.abs(H_eta) @ shift) * dY_abs)
+    residual = table[-1, 3]
+    assert residual <= K * EPS * scale, (residual, K * EPS * scale, doc)

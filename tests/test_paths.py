@@ -79,10 +79,10 @@ def test_linear_value_matches_numpy_interp():
 
 def test_step_value_held_left():
     p = SampledPath(_grid(5), np.array([0.0, 1.0, 2.0, 3.0, 4.0]), STEP)
-    assert p.scalar(0.0) == 0.0
-    assert p.scalar(0.3) == 1.0
-    assert p.scalar(0.25) == 1.0
-    assert p.scalar(1.0) == 4.0
+    assert p.value(0.0)[0] == 0.0
+    assert p.value(0.3)[0] == 1.0
+    assert p.value(0.25)[0] == 1.0
+    assert p.value(1.0)[0] == 4.0
     with pytest.raises(GridError):
         p.value(1.5)
     with pytest.raises(GridError):
@@ -227,7 +227,6 @@ def test_partition_levels_are_nested():
     assert part.stride(4) == 1
     assert np.array_equal(part.indices(4), np.arange(17))
     assert part.num_cells(1) == 2
-    assert part.mesh(1) == 0.5
 
 
 def test_partition_handles_ragged_grids():
@@ -257,8 +256,8 @@ def test_stepped_approx_looks_ahead():
     s = stepped_approx(p, part, level=1)  # cells [0,.5], [.5,1]
     assert s.interpolation == STEP
     assert np.array_equal(s.values[:, 0], [2.0, 2.0, 4.0, 4.0, 4.0])
-    assert s.scalar(0.25) == 2.0
-    assert s.scalar(1.0) == 4.0
+    assert s.value(0.25)[0] == 2.0
+    assert s.value(1.0)[0] == 4.0
     finest = stepped_approx(p, part, level=2)
     assert np.array_equal(finest.values[:, 0], [1.0, 2.0, 3.0, 4.0, 4.0])
     with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Differential tests: state-only functionals against per-point references.
+"""Differential tests: state-form functionals against per-point references.
 
 A Python-API cylinder, coordinate, bv_coordinate and constant_functional
 are each built from maps on stacked states, and their point slots run the
@@ -7,6 +7,12 @@ around hand-written point lambdas (the form these built-ins had before they
 gained a state form), so they have no state form: their samples go point
 by point and their integrals rebuild a pre-step path per cell.  Every slot
 must give the same bits either way.
+
+The combinators (product, compose and the recentered functionals of an
+augmented system) are row rules over their parts.  Their references are
+the point-only closures these combinators were before, copied below; the
+rules must reproduce them bit for bit on all grid rows at once, at every
+grid time and half-way between.
 """
 
 import numpy as np
@@ -20,15 +26,24 @@ from pathwise_ito.functionals import (
     Functional,
     _state_slot,
     bv_coordinate,
+    compose,
     constant_functional,
     coordinate,
     cylinder,
+    product,
     running_max_path,
     time_average_path,
 )
-from pathwise_ito.ito import AdmissibleIntegrand, ito_integral
+from pathwise_ito.ito import AdmissibleIntegrand, _augmented_functional, ito_integral
 from pathwise_ito.pathgen import GeneratorSpec, generate
-from pathwise_ito.paths import PartitionSequence, concat_components
+from pathwise_ito.paths import (
+    LINEAR,
+    GridError,
+    PartitionSequence,
+    SampledPath,
+    _check_domain,
+    concat_components,
+)
 
 N_POINTS = 64
 NUM_LEVELS = 5
@@ -209,3 +224,276 @@ def test_coordinate_integrand_takes_the_state_route(d, m, data):
             got = ito_integral(xi, x, part, levels, plain_riemann=plain)
         assert _bits(got.values) == _bits(want.values)
         assert _bits(got.cauchy_diffs) == _bits(want.cauchy_diffs)
+
+
+# ---------------------------------------------------------------------------
+# Combinators: the point-only closures they were before, as references
+
+
+def _ref_product(F, G):
+    def _eval(t, x, a):
+        return F.evaluate(t, x, a) * G.evaluate(t, x, a)
+
+    def _vertical(t, x, a):
+        return G.evaluate(t, x, a) * F.vertical(t, x, a) + F.evaluate(t, x, a) * G.vertical(t, x, a)
+
+    def _vertical2(t, x, a):
+        fv, gv = F.vertical(t, x, a), G.vertical(t, x, a)
+        return (
+            G.evaluate(t, x, a) * F.vertical2(t, x, a)
+            + F.evaluate(t, x, a) * G.vertical2(t, x, a)
+            + np.outer(fv, gv)
+            + np.outer(gv, fv)
+        )
+
+    def _horizontal(t, x, a):
+        return G.evaluate(t, x, a) * F.horizontal(t, x, a) + F.evaluate(t, x, a) * G.horizontal(t, x, a)
+
+    return Functional(_eval, F.d, F.m, _vertical, _vertical2, _horizontal)
+
+
+def _ref_compose(outer, inners):
+    d, m, q = inners[0].d, inners[0].m, outer.m
+
+    def _split(ab):
+        a = ab.slice_components(0, m) if m else None
+        bb = ab.slice_components(m, m + q) if q else None
+        return a, bb
+
+    def _inner_path(x, a):
+        cache = {}
+
+        def value(t):
+            key = float(t)
+            vec = cache.get(key)
+            if vec is None:
+                vec = np.array([f.evaluate(key, x, a) for f in inners])
+                _check_domain(vec[None, :], outer.x_domain)
+                vec.setflags(write=False)
+                cache[key] = vec
+            return vec
+
+        return SampledPath._make(
+            times=x.times, d=len(inners), interpolation=LINEAR, domain=outer.x_domain,
+            value=value, _row=lambda i: value(x.times[i]),
+            _build=lambda: np.array([value(t) for t in x.times]),
+        )
+
+    def _eval(t, x, ab):
+        a, bb = _split(ab)
+        return outer.evaluate(t, _inner_path(x, a), bb)
+
+    def _vertical(t, x, ab):
+        a, bb = _split(ab)
+        y = _inner_path(x, a)
+        gout = outer.vertical(t, y, bb)
+        jac = np.stack([f.vertical(t, x, a) for f in inners])
+        return jac.T @ gout
+
+    def _vertical2(t, x, ab):
+        a, bb = _split(ab)
+        y = _inner_path(x, a)
+        gout = outer.vertical(t, y, bb)
+        g2 = outer.vertical2(t, y, bb)
+        jac = np.stack([f.vertical(t, x, a) for f in inners])
+        out = jac.T @ g2 @ jac
+        for weight, f in zip(gout, inners):
+            out = out + weight * f.vertical2(t, x, a)
+        return 0.5 * (out + out.T)
+
+    def _horizontal(t, x, ab):
+        a, bb = _split(ab)
+        y = _inner_path(x, a)
+        gout = outer.vertical(t, y, bb)
+        gh = outer.horizontal(t, y, bb)
+        out = np.zeros(m + q + 1)
+        out[0] = gh[0]
+        for weight, f in zip(gout, inners):
+            fh = f.horizontal(t, x, a)
+            out[0] += weight * fh[0]
+            out[1 : m + 1] += weight * fh[1:]
+        out[m + 1 :] = gh[1:]
+        return out
+
+    return Functional(_eval, d, m + q, _vertical, _vertical2, _horizontal)
+
+
+def _ref_recentered(F, ell, m, nu, c):
+    def _inner(ab):
+        return ab.slice_components(0, m) if m else None
+
+    def _eval(t, x2, ab):
+        return F.evaluate(t, x2, _inner(ab)) - c - float(ab.value(t)[m + ell])
+
+    def _horizontal(t, x2, ab):
+        out = np.zeros(m + nu + 1)
+        out[: m + 1] = F.horizontal(t, x2, _inner(ab))
+        out[m + 1 + ell] = -1.0
+        return out
+
+    return Functional(
+        evaluate=_eval,
+        d=F.d,
+        m=m + nu,
+        vertical=lambda t, x2, ab: F.vertical(t, x2, _inner(ab)),
+        vertical2=lambda t, x2, ab: F.vertical2(t, x2, _inner(ab)),
+        horizontal=_horizontal,
+    )
+
+
+def _bare(F):
+    """F's point methods without its state form."""
+    return Functional(F._evaluate, F.d, F.m, F._vertical, F._vertical2, F._horizontal)
+
+
+# A tree is ("leaf", kind, args), ("product", A, B),
+# ("compose", outer, [inners]) or ("recenter", F, ell, nu, c); every node
+# knows the (d, m) it drives, and a recentered node appends nu components.
+
+
+@st.composite
+def _leaf(draw, d, m):
+    kinds = ["cylinder", "cylinder", "coordinate", "constant"] + (["bv_coordinate"] if m else [])
+    kind = draw(st.sampled_from(kinds))
+    coef = st.sampled_from((1.0, -3.0, 0.5, 0.3, 2.5))
+    if kind == "cylinder":
+        args = ((draw(coef), draw(coef), draw(coef)), draw(st.booleans()), draw(st.booleans()))
+    elif kind == "coordinate":
+        args = draw(st.integers(0, d - 1))
+    elif kind == "bv_coordinate":
+        args = draw(st.integers(0, m - 1))
+    else:
+        args = draw(coef)
+    return ("leaf", kind, args, d, m)
+
+
+@st.composite
+def _node(draw, d, m, depth):
+    kinds = ["leaf"] if depth == 0 else ["product", "compose"] + (["recenter"] if m else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        return draw(_leaf(d, m))
+    if kind == "product":
+        return ("product", draw(_node(d, m, depth - 1)), draw(_node(d, m, depth - 1)))
+    if kind == "compose":
+        q = draw(st.integers(0, min(m, 1)))
+        k = draw(st.integers(1, 3))
+        outer = draw(_node(k, q, min(depth - 1, 1)))
+        return ("compose", outer, [draw(_node(d, m - q, depth - 1)) for _ in range(k)])
+    nu = draw(st.integers(1, m))
+    F = draw(_node(d, m - nu, depth - 1))
+    return ("recenter", F, draw(st.integers(0, nu - 1)), nu, draw(st.sampled_from((0.0, 1.5))))
+
+
+def _build(tree, mode):
+    """The tree's functional: ``new`` rules, ``twin`` rules over bare leaves, ``ref`` closures."""
+    kind = tree[0]
+    if kind == "leaf":
+        _, leaf, args, d, m = tree
+        if leaf == "cylinder":
+            coef, has_hess, has_dt = args
+            f, grad, hess, dt, da = _python_partials(coef, d, m)
+            F = cylinder(f, d, m, grad, hess if has_hess else None, dt if has_dt else None, da)
+        elif leaf == "coordinate":
+            F = coordinate(args, d, m)
+        elif leaf == "bv_coordinate":
+            F = bv_coordinate(args, m, d)
+        else:
+            F = constant_functional(args, d, m)
+        return _bare(F) if mode == "twin" else F
+    if kind == "product":
+        parts = [_build(p, mode) for p in tree[1:]]
+        return (_ref_product if mode == "ref" else product)(*parts)
+    if kind == "compose":
+        outer, inners = _build(tree[1], mode), [_build(p, mode) for p in tree[2]]
+        return (_ref_compose if mode == "ref" else compose)(outer, inners)
+    _, sub, ell, nu, c = tree
+    F = _build(sub, mode)
+    return (_ref_recentered if mode == "ref" else _augmented_functional)(F, ell, F.m, nu, c)
+
+
+def _leaves(tree):
+    kind = tree[0]
+    if kind == "leaf":
+        return [tree]
+    if kind == "product":
+        subtrees = tree[1:]
+    elif kind == "compose":
+        subtrees = [tree[1], *tree[2]]
+    else:
+        subtrees = [tree[1]]
+    return [leaf for sub in subtrees for leaf in _leaves(sub)]
+
+
+def _state_slots(tree):
+    """Slots with a state form: a cylinder leaf without hess or dt sends its
+    slot to finite differences, and so every combinator above it."""
+    cylinders = [leaf[2] for leaf in _leaves(tree) if leaf[1] == "cylinder"]
+    slots = {"evaluate", "vertical"}
+    if all(has_hess for _, has_hess, _ in cylinders):
+        slots.add("vertical2")
+    if all(has_dt for _, _, has_dt in cylinders):
+        slots.add("horizontal")
+    return slots
+
+
+@st.composite
+def _trees(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    return draw(_node(d, m, draw(st.integers(1, 2)))), d, m, draw(st.integers(0, 2**16))
+
+
+def _outcome(fn, *args):
+    """The bits of fn(*args), or GridError: a finite difference needs a grid time."""
+    try:
+        return _bits(fn(*args))
+    except GridError:
+        return GridError
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trees())
+def test_combinator_rules_match_the_point_closures_bitwise(case):
+    tree, d, m, seed = case
+    F, ref = _build(tree, "new"), _build(tree, "ref")
+    assert set(F._on_states) == _state_slots(tree) and not ref._on_states
+    x, _, a = _data(seed, d, m)
+    off_grid = 0.5 * (x.times[:-1] + x.times[1:])
+    for slot in SLOTS:
+        want = [_outcome(getattr(ref, slot), float(t), x, a) for t in x.times]
+        assert all(isinstance(w, bytes) for w in want), slot
+        if slot in F._on_states:
+            rows = _state_slot(F, slot, x, a)
+            assert [_bits(row) for row in rows] == want, slot
+        assert [_outcome(getattr(F, slot), float(t), x, a) for t in x.times] == want, slot
+        for t in off_grid:
+            got = _outcome(getattr(F, slot), float(t), x, a)
+            assert got == _outcome(getattr(ref, slot), float(t), x, a), (slot, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_trees(), st.data())
+def test_combinator_integrals_take_the_state_route_and_twins_the_per_cell_one(case, data):
+    tree, d, m, seed = case
+    levels = sorted(data.draw(st.sets(st.integers(1, NUM_LEVELS), min_size=1)))
+    x, part, a = _data(seed, d, m)
+    want = ito_integral(AdmissibleIntegrand(_build(tree, "ref"), a), x, part, levels)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (ito, reduction):
+            patch.setattr(module, "map_chunked", _refuse)
+        got = ito_integral(AdmissibleIntegrand(_build(tree, "new"), a), x, part, levels)
+    assert _bits(got.values) == _bits(want.values)
+    twin = _build(tree, "twin")
+    assert not twin._on_states
+    cells = []
+
+    def counted(fill, out):
+        cells.append(out.shape[0])
+        return reduction.map_chunked(fill, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ito, "map_chunked", counted)
+        per_cell = ito_integral(AdmissibleIntegrand(twin, a), x, part, levels)
+    assert cells == [part.num_cells(n) for n in levels]
+    assert _bits(per_cell.values) == _bits(want.values)
