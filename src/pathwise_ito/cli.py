@@ -15,8 +15,8 @@ term) or convergence-gate failure, 2 bad input (I/O, CSV, JSON, config).
 All numbers print with 17 significant digits so outputs are bit-stable
 across runs.  Each subcommand imports only the modules it runs.  OpenBLAS
 runs on one thread unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set: no BLAS call here is large enough for a second
-thread, and idle pool workers spin on CPU while numpy loads.
+OMP_NUM_THREADS is set: no route here calls BLAS, and idle pool workers
+spin on CPU while numpy loads.
 """
 from __future__ import annotations
 

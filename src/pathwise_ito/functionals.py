@@ -54,6 +54,7 @@ from .paths import (
     stop,
 )
 from .qv import qv_matrix
+from .reduction import ordered_dot
 
 _DERIV_GUARD = 1e-14
 _NO_COMPONENTS = np.zeros((1, 0))  # A of a one-row state when m = 0
@@ -624,17 +625,16 @@ def compose(outer: Functional, inners: Sequence[Functional]) -> Functional:
         check(t, Y)
         return [(Y, AB[:, m:])] + [(X, A)] * k
 
-    def jacobian(get):
-        # (n, k, d): the stacked matmuls below then give the bits of jac.T @ v
-        return np.stack([get(i, "vertical") for i in range(1, k + 1)], axis=1)
+    def jacobian(get):  # (n, d, k): each row's inner gradients as columns
+        return np.stack([get(i, "vertical") for i in range(1, k + 1)], axis=2)
 
     def vertical(get):
-        gout = get(0, "vertical")
-        return np.matmul(jacobian(get).transpose(0, 2, 1), gout[:, :, None])[:, :, 0]
+        return ordered_dot(jacobian(get), get(0, "vertical")[:, None, :])
 
     def vertical2(get):
         gout, g2, J = get(0, "vertical"), get(0, "vertical2"), jacobian(get)
-        out = np.matmul(np.matmul(J.transpose(0, 2, 1), g2), J)
+        Jg2 = ordered_dot(J[:, :, None, :], g2.transpose(0, 2, 1)[:, None])
+        out = ordered_dot(Jg2[:, :, None, :], J[:, None])
         for i in range(k):
             out = out + gout[:, i, None, None] * get(i + 1, "vertical2")
         return 0.5 * (out + out.transpose(0, 2, 1))

@@ -57,7 +57,7 @@ from .paths import (
     concat_components,
 )
 from .qv import qv_matrix, qv_measures
-from .reduction import map_chunked, running_sum
+from .reduction import map_chunked, ordered_dot, running_sum
 from .stieltjes import cumulative_stieltjes, measures_with_clock
 
 _TINY = 1e-30
@@ -128,19 +128,6 @@ class IntegralResult:
         return float(self.values[row, _grid_index(self.times, t)])
 
 
-def _cell_products(xi: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Row-wise xi . dX, bit for bit what np.dot gives on each pair of rows.
-
-    For d = 1 the plain product keeps np.dot's sign of a zero term (vecdot
-    and einsum turn -0.0 into +0.0); for d > 1 the stacked matmul runs the
-    same dot kernel per row, which einsum and a left-to-right sum do not.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        if xi.shape[1] == 1:
-            return xi[:, 0] * dx[:, 0]
-        return np.matmul(xi[:, None, :], dx[:, :, None])[:, 0, 0]
-
-
 def ito_integral(
     xi: AdmissibleIntegrand,
     x: SampledPath,
@@ -199,7 +186,8 @@ def ito_integral(
                     pre = _frozen_from(stepped, idx[j], x._row(idx[j]))
                     out[j] = xi.xi(float(pts[j]), pre)
             xi_rows = map_chunked(fill, np.empty((idx.shape[0] - 1, x.d)))
-        terms = _cell_products(xi_rows, dx)
+        with np.errstate(invalid="ignore", over="ignore"):
+            terms = ordered_dot(xi_rows, dx)
         bad = np.flatnonzero(~np.isfinite(terms))
         if bad.shape[0]:
             raise DomainError(

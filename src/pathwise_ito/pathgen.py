@@ -63,6 +63,9 @@ class GeneratorSpec:
             raise ValueError("base_points must be a power of two (and at least 2)")
         if not 0.0 < self.horizon < np.inf:
             raise ValueError(f"the horizon T must be finite and positive, got {self.horizon}")
+        for name in ("drift", "scale", "value"):
+            if not abs(getattr(self, name)) < np.inf:
+                raise ValueError(f"generator '{name}' must be a finite number, got {getattr(self, name)}")
         if self.d < 1:
             raise ValueError("dimension must be at least 1")
         if self.depth < 0:

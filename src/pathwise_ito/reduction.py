@@ -1,7 +1,7 @@
 """Fixed-order evaluation and summation helpers.
 
-Per-level sums are assembled from per-cell terms filled in grid order and
-reduced left to right, so every sum is bit-identical from run to run.
+Per-level sums and row dot products add their terms in a fixed order, left
+to right, so every sum is bit-identical from run to run and CPU to CPU.
 """
 from __future__ import annotations
 
@@ -20,6 +20,15 @@ def map_chunked(fill: Callable[[int, int, np.ndarray], None], out: np.ndarray) -
     """
     fill(0, out.shape[0], out)
     return out
+
+
+def ordered_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of u[..., k] * v[..., k], left to right in separate
+    multiply and add ufuncs: no BLAS kernel or FMA sets the order or the bits."""
+    acc = u[..., 0] * v[..., 0]
+    for k in range(1, u.shape[-1]):
+        acc = acc + u[..., k] * v[..., k]
+    return acc
 
 
 def running_sum(terms: np.ndarray) -> np.ndarray:

@@ -92,6 +92,17 @@ def test_gen_rejects_bad_specs(capsys):
     code, _, err = _run(["gen", "--kind", "takagi-like", "--n", "16", "--depth", "-1"], capsys)
     assert code == 2
     assert err.splitlines() == ["error: generator 'depth' must be nonnegative, got -1"]
+    # argparse's float takes these; the spec names the option instead of
+    # failing later on the generated values
+    for kind, option, value in [
+        ("takagi-like", "scale", "inf"), ("brownian", "drift", "nan"),
+        ("brownian", "scale", "nan"), ("constant", "value", "nan"), ("constant", "value", "-inf"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(["gen", "--kind", kind, "--n", "64", f"--{option}={value}"], capsys)
+        assert code == 2
+        assert err.splitlines() == [f"error: generator '{option}' must be a finite number, got {value}"]
 
 
 def test_gen_takagi_depth_past_the_grid_changes_no_byte(tmp_path, capsys):

@@ -3,7 +3,10 @@
 The CSVs under ``tests/golden/`` were written by the CLI before any refactor
 that keeps the summation order, so a change that moves a single bit of a
 reported number fails here.  Inputs stay at N <= 2^9 with polynomial
-formulas only, so the bytes do not depend on the platform's libm.
+formulas only, and no sum goes through BLAS, so the bytes do not depend on
+the platform's libm or on the OpenBLAS kernel picked for the CPU.  One
+exception: ``gen_smooth_d4.csv``'s ``t**7`` and ``t**60`` run numpy's SIMD
+``power``, whose last bit can follow the CPU's vector extensions.
 
 To pin a deliberate change of summation order, rerun the command lines below
 with ``-o tests/golden/<file>`` and state the deviation bound in CHANGES.md.
@@ -76,8 +79,9 @@ def test_path_n300_d4_is_the_head_of_a_gen_path(tmp_path, capsys):
     "name", ["integrate_percell_d2.csv", "ito_check_percell_d2.csv", "assoc_check_d2.csv"]
 )
 def test_cli_process_bytes_do_not_depend_on_blas_threads(name, threads, tmp_path):
-    # These cases take per-cell np.dot products and d = 2 matmuls.  A CLI
-    # process runs one OpenBLAS thread unless the environment picks a count.
+    # These cases sum per-cell and chain-rule dot products, in a fixed order
+    # and outside BLAS.  A CLI process runs one OpenBLAS thread unless the
+    # environment picks a count; neither set-up may move a byte.
     src = str(Path(pathwise_ito.__file__).resolve().parents[1])
     thread_vars = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in thread_vars}

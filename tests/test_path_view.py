@@ -305,13 +305,20 @@ def builds(monkeypatch):
     return built
 
 
+def _loop_dot(u, v):
+    acc = float(u[0]) * float(v[0])
+    for k in range(1, len(u)):
+        acc = acc + float(u[k]) * float(v[k])
+    return acc
+
+
 def _ref_integral_at_points(F, x, part, level):
     idx = part.indices(level)
     dx = x.values[idx[1:]] - x.values[idx[:-1]]
     terms = []
     for j, s in enumerate(x.times[idx[:-1]]):
         pre = ref_pre_step(x, part, level, float(s))
-        terms.append(float(np.dot(F.vertical(float(s), pre), dx[j])))
+        terms.append(_loop_dot(F.vertical(float(s), pre), dx[j]))
     return running_sum(np.array(terms))
 
 

@@ -18,6 +18,10 @@ def test_spec_validation():
         GeneratorSpec(kind="brownian", base_points=16, horizon=0.0)
     with pytest.raises(ValueError, match="horizon"):
         GeneratorSpec(kind="brownian", base_points=16, horizon=math.inf)
+    for name, bad in [("drift", math.nan), ("scale", math.inf), ("scale", math.nan),
+                      ("value", -math.inf), ("value", math.nan)]:
+        with pytest.raises(ValueError, match=f"generator '{name}' must be a finite number"):
+            GeneratorSpec(kind="constant", base_points=16, **{name: bad})
     with pytest.raises(ValueError):
         GeneratorSpec(kind="smooth", base_points=16)  # missing expression
     with pytest.raises(ValueError):

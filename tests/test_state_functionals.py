@@ -10,9 +10,10 @@ must give the same bits either way.
 
 The combinators (product, compose and the recentered functionals of an
 augmented system) are row rules over their parts.  Their references are
-the point-only closures these combinators were before, copied below; the
-rules must reproduce them bit for bit on all grid rows at once, at every
-grid time and half-way between.
+the point-only closures these combinators were before, copied below, with
+``compose``'s chain-rule sums written as left-to-right loops over Python
+floats; the rules must reproduce them bit for bit on all grid rows at once,
+at every grid time and half-way between.
 """
 
 import numpy as np
@@ -252,6 +253,13 @@ def _ref_product(F, G):
     return Functional(_eval, F.d, F.m, _vertical, _vertical2, _horizontal)
 
 
+def _loop_dot(u, v):
+    acc = float(u[0]) * float(v[0])
+    for k in range(1, len(u)):
+        acc = acc + float(u[k]) * float(v[k])
+    return acc
+
+
 def _ref_compose(outer, inners):
     d, m, q = inners[0].d, inners[0].m, outer.m
 
@@ -288,7 +296,7 @@ def _ref_compose(outer, inners):
         y = _inner_path(x, a)
         gout = outer.vertical(t, y, bb)
         jac = np.stack([f.vertical(t, x, a) for f in inners])
-        return jac.T @ gout
+        return np.array([_loop_dot(jac[:, j], gout) for j in range(d)])
 
     def _vertical2(t, x, ab):
         a, bb = _split(ab)
@@ -296,7 +304,9 @@ def _ref_compose(outer, inners):
         gout = outer.vertical(t, y, bb)
         g2 = outer.vertical2(t, y, bb)
         jac = np.stack([f.vertical(t, x, a) for f in inners])
-        out = jac.T @ g2 @ jac
+        # (jac.T @ g2) @ jac, each sum over the inners left to right
+        jac_g2 = [[_loop_dot(jac[:, i], g2[:, j]) for j in range(len(inners))] for i in range(d)]
+        out = np.array([[_loop_dot(row, jac[:, j]) for j in range(d)] for row in jac_g2])
         for weight, f in zip(gout, inners):
             out = out + weight * f.vertical2(t, x, a)
         return 0.5 * (out + out.T)
