@@ -45,6 +45,10 @@ CASES = {
     # stopped and bumped paths.
     "integrate_percell_d2.csv": ["integrate", "-c", str(GOLDEN / "percell_d2.json")],
     "ito_check_percell_d2.csv": ["ito-check", "-c", str(GOLDEN / "percell_d2.json")],
+    # Finite differences at the edge of a positive domain: the path starts
+    # 5e-5 above 0, so at t = 0 the down bump of fd_vertical leaves the
+    # domain (a one-sided quotient) and fd_vertical2 halves its step.
+    "ito_check_positive_fd_d1.csv": ["ito-check", "-c", str(GOLDEN / "positive_fd_d1.json")],
     # Every layout of the CSV writer: fixed with leading zeros, with an
     # integer part and integer-valued; scientific with 2- and 3-digit
     # exponents; -0; cells of 1e17 and more and cells below 1e-11.
