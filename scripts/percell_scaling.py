@@ -58,8 +58,7 @@ def last_row(d):
 
 def bare(F):
     """F's point methods without its state form."""
-    slots = (F._evaluate, F.d, F.m, F._vertical, F._vertical2, F._horizontal)
-    return Functional(*slots, x_domain=F.x_domain, name=F.name)
+    return Functional(d=F.d, m=F.m, x_domain=F.x_domain, name=F.name, **F._point)
 
 
 def best_times(cases, repeat):

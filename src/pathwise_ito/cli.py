@@ -103,7 +103,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_qv(args) -> int:
-    from .qv import _entry_rows, _level_gap, _table_pairs, qv_converged, qv_matrix
+    from .qv import _CONVERGED_TOL, _entry_rows, _level_gap, _table_pairs, qv_converged, qv_matrix
 
     x = load_sampled_path(args.input)
     levels = args.levels if args.levels is not None else default_num_levels(x.n_points)
@@ -132,8 +132,7 @@ def _cmd_qv(args) -> int:
     with _open_output(_resolve_dest(args, None)) as fh:
         _write_table(fh, header, table)
     if levels >= 3:
-        # qv_converged's verdict at its default tol
-        _say(f"converged: {'yes' if np.max(level_diff) < 1e-2 else 'no'}")
+        _say(f"converged: {'yes' if np.max(level_diff) < _CONVERGED_TOL else 'no'}")
     else:
         _say("converged: n/a (need at least 3 levels)")
     return 0

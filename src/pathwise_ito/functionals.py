@@ -22,17 +22,30 @@ The product and compose combinators push all three notions through the
 standard rules, delegating to whatever the parts provide, so analytic and
 finite-difference functionals mix freely.
 
-One constructor, :func:`_combined`, builds the built-ins and the
-combinators alike: each slot is one rule over stacked rows.  A leaf reads
-the grid states (t, X(t), A(t)): :func:`cylinder`, a config's formula
-cylinder, :func:`coordinate`, :func:`bv_coordinate`,
-:func:`constant_functional`.  A combinator (:func:`product`, :func:`compose`,
-the recentering in ``ito.augment``) reads its parts' rows.  A call at one
-time runs the rule on one-row stacks; where every part has a state form it
-also runs once on a whole grid (:func:`_state_slot`), in O(N), with the
-same bits.  General parts and finite-difference slots go point by point:
-they read stopped, bumped and composed paths, row-lookup views that build
-``values`` only when read.
+Routes.  One constructor, :func:`_combined`, builds every functional from
+row rules.  A leaf (:func:`cylinder`, a config's formula cylinder,
+:func:`coordinate`, :func:`bv_coordinate`, :func:`constant_functional`)
+reads the stacked states (t, X(t), A(t)); a combinator (:func:`product`,
+:func:`compose`, the recentering in ``ito.augment``) reads its parts' rows.
+Each slot takes one route:
+
+* state form: every supplied slot of a leaf, and a combinator's slot whose
+  parts all have state forms for evaluate, vertical and that slot.  A grid
+  pass runs the map once on all rows (:func:`_state_slot`), O(N) a level;
+  a call at one time runs it on the one-row state (t, X(t), A(t)).  At a
+  partition point a pre-step path has the grid state, so integrals,
+  samples and point calls share their bits.
+* parts: a combinator's other slots call their parts' point methods
+  (``compose`` hands its outer a memoised path of inner values).
+* finite differences: an omitted derivative (``None`` in the point table)
+  runs :func:`fd_vertical`, :func:`fd_vertical2` or :func:`fd_horizontal`
+  on stopped and bumped paths.
+
+Slots without a state form, like every slot of a general
+:class:`Functional`, are sampled point by point and integrated cell by cell
+on a pre-step view of X (``reduction.map_chunked``): O(log N) a cell for a
+callable that reads only ``value`` and ``left_limit``, O(N) for one that
+reads ``.values`` and for a finite-difference slot.
 """
 from __future__ import annotations
 
@@ -77,17 +90,7 @@ class Functional:
     validated against it so boundary proximity surfaces as DomainError.
     """
 
-    __slots__ = (
-        "d",
-        "m",
-        "name",
-        "x_domain",
-        "_evaluate",
-        "_vertical",
-        "_vertical2",
-        "_horizontal",
-        "_on_states",
-    )
+    __slots__ = ("d", "m", "name", "x_domain", "_point", "_on_states")
 
     def __init__(
         self,
@@ -106,12 +109,10 @@ class Functional:
         self.m = int(m)
         self.name = name
         self.x_domain = x_domain
-        self._evaluate = evaluate
-        self._vertical = vertical
-        self._vertical2 = vertical2
-        self._horizontal = horizontal
-        # Slot name -> map on stacked states (t, X, A), for each slot with a
-        # state form; see _combined and _state_slot.
+        # Slot name -> callable at one time (None: finite differences), and
+        # -> map on stacked states (t, X, A) for each slot with a state form.
+        self._point = dict(evaluate=evaluate, vertical=vertical, vertical2=vertical2,
+                           horizontal=horizontal)
         self._on_states: dict[str, Callable] = {}
 
     def _check_args(self, x, a) -> None:
@@ -131,39 +132,32 @@ class Functional:
                 raise ValueError(f"{self.name}: second vertical must be ({self.d}, {self.d})")
             return out
         n = self.d if slot == "vertical" else self.m + 1
-        return _as_vector(value, n, self.name)
+        out = np.asarray(value, dtype=np.float64).reshape(-1)
+        if out.shape != (n,):
+            raise ValueError(f"{self.name}: derivative must have {n} entries")
+        return out
+
+    def _at(self, slot: str, t: float, x, a):
+        self._check_args(x, a)
+        fn = self._point[slot]
+        if fn is None:  # looked up per call, so a traced run counts it
+            return globals()[f"fd_{slot}"](self, t, x, a)
+        return self._checked(slot, fn(t, x, a))
 
     def evaluate(self, t: float, x, a=None) -> float:
-        self._check_args(x, a)
-        return float(self._evaluate(t, x, a))
+        return self._at("evaluate", t, x, a)
 
     def vertical(self, t: float, x, a=None) -> np.ndarray:
-        self._check_args(x, a)
-        if self._vertical is not None:
-            return self._checked("vertical", self._vertical(t, x, a))
-        return fd_vertical(self, t, x, a)
+        return self._at("vertical", t, x, a)
 
     def vertical2(self, t: float, x, a=None) -> np.ndarray:
-        self._check_args(x, a)
-        if self._vertical2 is not None:
-            return self._checked("vertical2", self._vertical2(t, x, a))
-        return fd_vertical2(self, t, x, a)
+        return self._at("vertical2", t, x, a)
 
     def horizontal(self, t: float, x, a=None) -> np.ndarray:
-        self._check_args(x, a)
-        if self._horizontal is not None:
-            return self._checked("horizontal", self._horizontal(t, x, a))
-        return fd_horizontal(self, t, x, a)
+        return self._at("horizontal", t, x, a)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Functional({self.name!r}, d={self.d}, m={self.m})"
-
-
-def _as_vector(v, n: int, name: str) -> np.ndarray:
-    out = np.asarray(v, dtype=np.float64).reshape(-1)
-    if out.shape != (n,):
-        raise ValueError(f"{name}: derivative must have {n} entries")
-    return out
 
 
 def _state_slot(F: Functional, slot: str, x, a=None, rows=None) -> np.ndarray | None:
@@ -336,25 +330,26 @@ def _combined(
     ``rule(get)``.  A leaf (no ``parts``) reads the stacked states
     ``get(None)`` = (t, X, A), shaped (n,), (n, d), (n, m); a combinator
     reads ``get(i, slot)``, the rows of ``parts[i]``'s slot on the data
-    ``point_args(t, x, a)[i]`` at a point or ``state_args(t, X, A)[i]`` on
-    states (both default to the functional's own).  A point call runs the
-    rule on one-row stacks, so general parts work too; where every part has
-    state maps for evaluate, vertical and the slot, it also runs once on all
-    grid rows (see :func:`_state_slot`), with the same bits.
+    ``state_args(t, X, A)[i]`` on states or ``point_args(t, x, a)[i]`` at a
+    point (both default to the functional's own).  Which route each slot
+    takes is the rule in the module docstring.
     """
 
-    def routes(rule):
-        def on_states(t, X, A):
+    def on_states(rule):
+        def run(t, X, A):
             if not parts:
                 return rule(lambda i: (t, X, A))
             args = state_args(t, X, A) if state_args else [(X, A)] * len(parts)
             return rule(lambda i, slot: parts[i]._on_states[slot](t, *args[i]))
 
-        def point(t, x, a):
-            if not parts:
-                A = a.value(t)[None] if a is not None else _NO_COMPONENTS
-                states = (np.array([t], dtype=np.float64), x.value(t)[None], A)
-                return rule(lambda i: states)[0]
+        return run
+
+    def point(slot, rule):
+        def at_state(t, x, a):
+            A = a.value(t)[None] if a is not None else _NO_COMPONENTS
+            return states[slot](np.array([t], dtype=np.float64), x.value(t)[None], A)[0]
+
+        def via_parts(t, x, a):
             args = point_args(t, x, a) if point_args else [(x, a)] * len(parts)
 
             def get(i, slot):
@@ -363,17 +358,16 @@ def _combined(
 
             return rule(get)[0]
 
-        return point, on_states
+        return at_state if slot in states else via_parts
 
-    slots = {slot: routes(rule) for slot, rule in rules.items()}
-    F = Functional(
-        d=d, m=m, x_domain=x_domain, name=name, **{s: point for s, (point, _) in slots.items()}
-    )
-    F._on_states = {
-        slot: on_states
-        for slot, (_, on_states) in slots.items()
+    states = {
+        slot: on_states(rule)
+        for slot, rule in rules.items()
         if all({"evaluate", "vertical", slot} <= p._on_states.keys() for p in parts)
     }
+    points = {slot: point(slot, rule) for slot, rule in rules.items()}
+    F = Functional(d=d, m=m, x_domain=x_domain, name=name, **points)
+    F._on_states = states
     return F
 
 
@@ -436,12 +430,8 @@ def cylinder(
     derivatives collapse to the classical partials of f: vertical is the
     x-gradient, second vertical the x-Hessian, D_0 the t-partial and D_k
     the a_k-partial (the frozen path contributes nothing else).  ``da`` is
-    required together with ``dt`` to form an analytic horizontal.
-
-    Because F reads only the state at t, integrals and sampled derivatives
-    call each supplied partial once per grid time on the state there, in
-    O(N) per pass, never on a stopped or pre-step path.  Omitted
-    partials fall back to finite differences on the path.
+    required together with ``dt`` to form an analytic horizontal.  Each
+    slot's route (state form or finite differences) is the module docstring's.
     """
     horizontal = None
     if dt is not None and (m == 0 or da is not None):

@@ -21,19 +21,8 @@ against X under a composed integrand.  All sums run in a fixed order, so
 reports are bit-reproducible from run to run.  A NaN or infinite term is
 never reported: it raises DomainError naming the term and the level.
 
-Cost.  A cylinder F(t, X, A) = f(t, X(t), A(t)) reads only the state at
-t, and at a partition point s the pre-step path's state is exactly
-(s, X(s), A(s)).  So each analytic slot of a cylinder is evaluated once
-on the grid's (times, X, A) arrays, and a level gathers its left
-partition rows and multiplies them with dX: O(N) per level, the same
-bits as the per-cell sum.  Products, compositions and the recentered
-functionals of an augmented system whose parts are all state-only do the
-same, since each of their slots is one row rule over the parts' rows.
-Only general functionals, and any slot that falls back to finite
-differences (with every combinator above it), run cell by cell on a
-pre-step view of X and are sampled point by point: O(log N) a cell or
-point if they read only value and left_limit, O(N) if they read
-``.values`` or an FD slot.
+Cost.  Each slot's route, and so its cost a level, is the rule in the
+``functionals`` module docstring.
 """
 from __future__ import annotations
 

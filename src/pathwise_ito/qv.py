@@ -48,6 +48,8 @@ import numpy as np
 from .paths import DomainError, PartitionSequence, SampledPath, _require_same_grid
 from .stieltjes import StieltjesMeasure
 
+_CONVERGED_TOL = 1e-2  # qv_converged's default tol; the qv command's verdict reads it too
+
 
 def _pair_blocks(d: int):
     """(i, rows) for each i < d - 1: the packed rows of the pairs (i, j > i).
@@ -292,7 +294,7 @@ def qv_measures(
 def qv_converged(
     x: SampledPath,
     partition: PartitionSequence,
-    tol: float = 1e-2,
+    tol: float = _CONVERGED_TOL,
     levels: tuple[int, ...] | None = None,
 ) -> QVMatrix:
     """Finest-level QV matrix with cross-level convergence diagnostics.

@@ -13,10 +13,9 @@ import numpy as np
 def map_chunked(fill: Callable[[int, int, np.ndarray], None], out: np.ndarray) -> np.ndarray:
     """Fill ``out`` along its first axis with one call ``fill(0, n, out)``.
 
-    The named stage around the per-cell fill loop that general functionals
-    and finite-difference slots need (and any product, composition or
-    recentering that has such a part); benchmark traces time it by this
-    name.  State-only integrands, combinators of them included, skip it.
+    The named stage around the per-cell fill loop of a slot without a state
+    form (the ``functionals`` module docstring says which); benchmark
+    traces time it by this name.
     """
     fill(0, out.shape[0], out)
     return out

@@ -18,7 +18,7 @@ at every grid time and half-way between.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import pathwise_ito.ito as ito
@@ -353,7 +353,7 @@ def _ref_recentered(F, ell, m, nu, c):
 
 def _bare(F):
     """F's point methods without its state form."""
-    return Functional(F._evaluate, F.d, F.m, F._vertical, F._vertical2, F._horizontal)
+    return Functional(d=F.d, m=F.m, **F._point)
 
 
 # A tree is ("leaf", kind, args), ("product", A, B),
@@ -454,6 +454,27 @@ def _trees(draw):
     return draw(_node(d, m, draw(st.integers(1, 2)))), d, m, draw(st.integers(0, 2**16))
 
 
+# A failing tree is reported unshrunk: each shrink step rebuilds a tree and
+# evaluates every slot at every time, minutes for one failing example.
+_NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
+
+class _PartCalled(Exception):
+    pass
+
+
+def _refusing_parts_of(F):
+    """``Functional._at`` that lets only F answer a point call."""
+    at = Functional._at
+
+    def guarded(self, slot, t, x, a):
+        if self is not F:
+            raise _PartCalled(f"{self.name}.{slot} at t={t}")
+        return at(self, slot, t, x, a)
+
+    return guarded
+
+
 def _outcome(fn, *args):
     """The bits of fn(*args), or GridError: a finite difference needs a grid time."""
     try:
@@ -462,27 +483,35 @@ def _outcome(fn, *args):
         return GridError
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(_trees())
 def test_combinator_rules_match_the_point_closures_bitwise(case):
     tree, d, m, seed = case
     F, ref = _build(tree, "new"), _build(tree, "ref")
     assert set(F._on_states) == _state_slots(tree) and not ref._on_states
     x, _, a = _data(seed, d, m)
-    off_grid = 0.5 * (x.times[:-1] + x.times[1:])
+    times = [*x.times.tolist(), *(0.5 * (x.times[:-1] + x.times[1:])).tolist()]
+    wants = {}
     for slot in SLOTS:
-        want = [_outcome(getattr(ref, slot), float(t), x, a) for t in x.times]
-        assert all(isinstance(w, bytes) for w in want), slot
+        want = wants[slot] = [_outcome(getattr(ref, slot), t, x, a) for t in times]
+        assert all(isinstance(w, bytes) for w in want[: x.n_points]), slot
         if slot in F._on_states:
             rows = _state_slot(F, slot, x, a)
-            assert [_bits(row) for row in rows] == want, slot
-        assert [_outcome(getattr(F, slot), float(t), x, a) for t in x.times] == want, slot
-        for t in off_grid:
-            got = _outcome(getattr(F, slot), float(t), x, a)
-            assert got == _outcome(getattr(ref, slot), float(t), x, a), (slot, t)
+            assert [_bits(row) for row in rows] == want[: x.n_points], slot
+        with pytest.MonkeyPatch.context() as patch:
+            if slot in F._on_states:
+                # a slot with a state form answers from it, not from its parts
+                patch.setattr(Functional, "_at", _refusing_parts_of(F))
+            assert [_outcome(getattr(F, slot), t, x, a) for t in times] == want, slot
+    twin = _build(tree, "twin")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Functional, "_at", _refusing_parts_of(twin))
+        with pytest.raises(_PartCalled):
+            twin.evaluate(times[1], x, a)
+    assert _outcome(twin.evaluate, times[1], x, a) == wants["evaluate"][1]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
 @given(_trees(), st.data())
 def test_combinator_integrals_take_the_state_route_and_twins_the_per_cell_one(case, data):
     tree, d, m, seed = case
