@@ -13,7 +13,8 @@ augmented system) are row rules over their parts.  Their references are
 the point-only closures these combinators were before, copied below, with
 ``compose``'s chain-rule sums written as left-to-right loops over Python
 floats; the rules must reproduce them bit for bit on all grid rows at once,
-at every grid time and half-way between.
+at every grid time and half-way between.  A point call of a slot with a
+state form runs that form on one row and calls none of its parts.
 """
 
 import numpy as np
