@@ -103,23 +103,20 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_qv(args) -> int:
-    from .qv import _CONVERGED_TOL, _entry_rows, _level_gap, _table_pairs, qv_converged, qv_matrix
+    from .qv import _entry_rows, _table_pairs, qv_converged, qv_matrix
 
     x = load_sampled_path(args.input)
     levels = args.levels if args.levels is not None else default_num_levels(x.n_points)
     part = PartitionSequence(x.times, num_levels=levels)
     # The table and the verdict read only the last two levels.  Every squared
     # difference of an x_i + x_j is at most 16 B^2, so with 16 N B^2 < 2^1000
-    # no level can overflow and only those two run.  Otherwise every level
-    # runs, coarsest first, and the coarsest overflow is the one named.
+    # no level can overflow and qv_converged runs only those two.  Otherwise
+    # it runs every level, coarsest first, and the coarsest overflow is named.
     b = float(np.max(np.abs(x.values)))
-    if levels >= 3 and not 16 * x.n_points * b * b < 2.0**1000:
-        rep = qv_converged(x, part)
+    if levels >= 2:
+        run = (levels - 1, levels) if 16 * x.n_points * b * b < 2.0**1000 else None
+        rep = qv_converged(x, part, levels=run)
         entries, level_diff = rep.entries, rep.last_gap
-    elif levels >= 2:
-        prev = qv_matrix(x, part, levels - 1).entries
-        entries = qv_matrix(x, part, levels).entries
-        level_diff = _level_gap(entries, prev, 0, (levels - 1, levels), x.times)
     else:
         entries, level_diff = qv_matrix(x, part, levels).entries, np.zeros(x.n_points)
     pairs = _table_pairs(x.d)
@@ -132,7 +129,7 @@ def _cmd_qv(args) -> int:
     with _open_output(_resolve_dest(args, None)) as fh:
         _write_table(fh, header, table)
     if levels >= 3:
-        _say(f"converged: {'yes' if np.max(level_diff) < _CONVERGED_TOL else 'no'}")
+        _say(f"converged: {'yes' if rep.converged else 'no'}")
     else:
         _say("converged: n/a (need at least 3 levels)")
     return 0

@@ -162,19 +162,24 @@ def ito_integral(
     if at_lefts is not None:
         xi_grid = np.empty((n_pts, x.d))
         xi_grid[lefts] = at_lefts
-    for row, n in enumerate(lv):
-        idx = partition.indices(n)
-        pts = x.times[idx]
-        dx = x.values[idx[1:]] - x.values[idx[:-1]]
-        if at_lefts is not None:
-            xi_rows = xi_grid[idx[:-1]]
-        else:
+    else:
+        # Every level fills before any term is summed, finest first: its left
+        # points hold every coarser level's, so a domain error names the same
+        # first bad time as on the state route.
+        per_cell = {}
+        for n in reversed(lv):
+            idx = partition.indices(n)
             stepped = _stepped(x, partition, n)
             def fill(lo, hi, out):
                 for j in range(lo, hi):
                     pre = _frozen_from(stepped, idx[j], x._row(idx[j]))
-                    out[j] = xi.xi(float(pts[j]), pre)
-            xi_rows = map_chunked(fill, np.empty((idx.shape[0] - 1, x.d)))
+                    out[j] = xi.xi(float(x.times[idx[j]]), pre)
+            per_cell[n] = map_chunked(fill, np.empty((idx.shape[0] - 1, x.d)))
+    for row, n in enumerate(lv):
+        idx = partition.indices(n)
+        pts = x.times[idx]
+        dx = x.values[idx[1:]] - x.values[idx[:-1]]
+        xi_rows = xi_grid[idx[:-1]] if at_lefts is not None else per_cell[n]
         with np.errstate(invalid="ignore", over="ignore"):
             terms = ordered_dot(xi_rows, dx)
         bad = np.flatnonzero(~np.isfinite(terms))
@@ -229,27 +234,25 @@ def _sampled(F: Functional, slot: str, x: SampledPath, a: BVPath | None, rows=No
     return out
 
 
+def _stieltjes_sum(f: np.ndarray, measures, weights=None) -> np.ndarray:
+    """Cumulative sum_r integral of f[:, r] (times weights) d measures[r], in r order."""
+    acc = np.zeros(f.shape[0])
+    for r, mu in enumerate(measures):
+        acc += cumulative_stieltjes(f[:, r] if weights is None else f[:, r] * weights, mu)
+    return acc
+
+
 def _horizontal_path(F: Functional, x: SampledPath, a: BVPath | None, weights=None) -> np.ndarray:
     """Cumulative sum_i integral of D_i F dA_i including the clock dA_0."""
     hv = _sampled(F, "horizontal", x, a)
-    if weights is not None:
-        hv = hv * weights[:, None]
     measures = measures_with_clock(a if a is not None else BVPath.empty(x.times))
-    acc = np.zeros(x.n_points)
-    for i, mu in enumerate(measures):
-        acc += cumulative_stieltjes(hv[:, i], mu)
-    return acc
+    return _stieltjes_sum(hv, measures, weights)
 
 
 def _qv_sum_path(v2: np.ndarray, measures, weights=None) -> np.ndarray:
     """Cumulative sum_ij integral of v2[:, i, j] d[X_i, X_j], in (i, j) order."""
-    n, d = v2.shape[0], v2.shape[1]
-    acc = np.zeros(n)
-    for i in range(d):
-        for j in range(d):
-            f = v2[:, i, j] if weights is None else v2[:, i, j] * weights
-            acc += cumulative_stieltjes(f, measures[i][j])
-    return acc
+    flat = [mu for row in measures for mu in row]
+    return _stieltjes_sum(v2.reshape(v2.shape[0], len(flat)), flat, weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,8 +48,6 @@ import numpy as np
 from .paths import DomainError, PartitionSequence, SampledPath, _require_same_grid
 from .stieltjes import StieltjesMeasure
 
-_CONVERGED_TOL = 1e-2  # qv_converged's default tol; the qv command's verdict reads it too
-
 
 def _pair_blocks(d: int):
     """(i, rows) for each i < d - 1: the packed rows of the pairs (i, j > i).
@@ -294,23 +292,24 @@ def qv_measures(
 def qv_converged(
     x: SampledPath,
     partition: PartitionSequence,
-    tol: float = _CONVERGED_TOL,
+    tol: float = 1e-2,
     levels: tuple[int, ...] | None = None,
 ) -> QVMatrix:
     """Finest-level QV matrix with cross-level convergence diagnostics.
 
-    Runs the matrix at every requested level (default: all of them, at
-    least three) and records the max-over-time, max-over-entry difference
-    between consecutive levels, plus, per grid time, the max-over-entry
-    difference between the last two (``last_gap``).  ``converged`` holds iff
-    the last recorded difference is below ``tol`` (an absolute threshold).
-    A non-finite entry or difference raises DomainError.
+    Runs the matrix at every requested level (default: all of them; at
+    least two), coarsest first, from one set of polarization columns, and
+    records the max-over-time, max-over-entry difference between consecutive
+    levels, plus, per grid time, the max-over-entry difference between the
+    last two (``last_gap``).  ``converged`` holds iff the last recorded
+    difference is below ``tol`` (an absolute threshold).  A non-finite entry
+    or difference raises DomainError.
     """
     if levels is None:
         levels = tuple(range(1, partition.num_levels + 1))
     levels = tuple(int(n) for n in levels)
-    if len(levels) < 3:
-        raise ValueError("convergence diagnostics need at least three levels")
+    if len(levels) < 2:
+        raise ValueError("convergence diagnostics need at least two levels")
     _require_same_grid(x, partition)
     cols = _polarization_columns(x.values)
     diffs = []

@@ -236,6 +236,34 @@ def test_qv_overflow_at_a_coarse_level_only_exits_one(levels, tmp_path, capsys):
     assert err == "error: non-finite qv_11 at level 1, grid time 0.75\n"
 
 
+GEN_D5 = str(Path(__file__).parent / "golden" / "gen_d5.csv")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["-i", GEN_D5, "--levels", "1"], 0),
+        (["-i", GEN_D5, "--levels", "2"], 0),
+        (["-i", GEN_D5, "--levels", "3"], 0),
+        (["-i", GEN_D5], 0),
+        (["-i", "mono.csv", "--levels", "4"], 1),
+    ],
+    ids=["levels1", "levels2", "levels3", "default", "all-levels"],
+)
+def test_qv_forms_the_polarization_columns_once(argv, code, tmp_path, capsys, monkeypatch):
+    # the two-level route and the all-levels route (MONOTONE_ROWS can
+    # overflow) each share one set of x_i and x_i + x_j columns
+    from pathwise_ito import qv
+
+    (tmp_path / "mono.csv").write_text(MONOTONE_ROWS)
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    real = qv._polarization_columns
+    monkeypatch.setattr(qv, "_polarization_columns", lambda v: calls.append(1) or real(v))
+    assert _run(["qv"] + argv, capsys)[0] == code
+    assert len(calls) == 1
+
+
 def test_qv_missing_input_is_an_io_error(capsys, tmp_path):
     code, _, err = _run(["qv", "-i", str(tmp_path / "nope.csv")], capsys)
     assert code == 2
@@ -451,10 +479,10 @@ def test_non_finite_term_prints_only_the_error_line(tmp_path):
 def test_compose_names_the_time_its_inner_values_leave_the_outer_domain(
     command, state_route, tmp_path, capsys
 ):
-    # x1 + 1 on this path first drops to <= 0 at grid index 66.  With an
-    # analytic inner gradient the composition runs on all grid rows at once
-    # and names that row; without one it runs cell by cell from the coarsest
-    # level, whose first bad left point comes later.
+    # x1 + 1 on this path first drops to <= 0 at grid index 66, a left point
+    # of level 8.  With an analytic inner gradient the composition runs on all
+    # grid rows at once; without one it runs cell by cell from the finest
+    # level.  Both name that row, not level 4's later first bad left point.
     gen = {"kind": "brownian", "base_points": 256, "seed": 3, "scale": 3.0}
     inner = {"f": "x1 + 1", "grad": ["1"]} if state_route else {"f": "x1 + 1"}
     outer = {"f": "log(x1)", "grad": ["1/x1"], "positive": True}
@@ -465,9 +493,9 @@ def test_compose_names_the_time_its_inner_values_leave_the_outer_domain(
     }
     x = generate(GeneratorSpec(**gen))
     bad = x.values[:, 0] + 1.0 <= 0.0
-    rows = np.arange(x.n_points) if state_route else PartitionSequence(x.times, 8).indices(4)
-    first = rows[np.argmax(bad[rows])]
-    assert bad[first] and (first == 66) == state_route
+    first = int(np.argmax(bad))
+    coarse = PartitionSequence(x.times, 8).indices(4)
+    assert first == 66 and coarse[np.argmax(bad[coarse])] > first
     code, out, err = _run([command, "-c", _write_config(tmp_path, doc)], capsys)
     assert code == 1 and out == ""
     t = float(x.times[first])

@@ -183,14 +183,19 @@ def test_convergence_diagnostics_on_a_seeded_walk():
     assert math.isclose(qv_scalar(x, part, 10), 0.9677775842249005, rel_tol=1e-12)
 
 
-def test_convergence_needs_three_levels():
+def test_convergence_needs_two_levels():
     n = 2**3 + 1
     x = SampledPath(_grid(n), _walk(n, seed=2))
     part = PartitionSequence(x.times, num_levels=3)
     with pytest.raises(ValueError):
-        qv_converged(x, part, levels=(2, 3))
-    r = qv_converged(x, part, levels=(1, 2, 3))
-    assert r.levels == (1, 2, 3)
+        qv_converged(x, part, levels=(3,))
+    r = qv_converged(x, part, levels=(2, 3))
+    assert r.levels == (2, 3) and r.level_diffs.shape == (1,)
+    assert np.array_equal(r.entries, qv_matrix(x, part, 3).entries)
+    gap = r.level_diffs[-1]
+    assert gap == np.max(r.last_gap) > 0.0
+    for tol in (gap, np.nextafter(gap, np.inf)):
+        assert qv_converged(x, part, tol=tol, levels=(2, 3)).converged == (gap < tol)
 
 
 def test_matrix_value_lookup():
