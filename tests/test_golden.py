@@ -38,6 +38,9 @@ CASES = {
     "ito_check_d1.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d1.json")],
     "integrate_d3.csv": ["integrate", "-c", str(GOLDEN / "cylinder_d3.json")],
     "ito_check_d3.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d3.json")],
+    # d = 16: the QV term sums 256 entries of [X], the horizontal term the
+    # clock and one component.
+    "ito_check_d16.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d16.json")],
     "assoc_check_d2.csv": ["assoc-check", "-c", str(GOLDEN / "assoc_d2.json")],
     # A product and a composition with finite-difference slots: vertical
     # and evaluate run on all grid rows at once, while the vertical2 and

@@ -15,7 +15,7 @@ from pathwise_ito.config import (
     partition_for,
     resolve_path,
 )
-from pathwise_ito.functionals import Functional, coordinate, cylinder
+from pathwise_ito.functionals import Functional, coordinate, cylinder, time_average_path
 from pathwise_ito.ito import (
     AdmissibleIntegrand,
     HypothesisError,
@@ -604,3 +604,84 @@ def test_corollary_gate_rejects_look_ahead():
     eta = AdmissibleIntegrand(coordinate(0))
     with pytest.raises(HypothesisError):
         corollary_decomposition(eta, [_endpoint_peek().functional], x, None, part)
+
+
+# ---------------------------------------------------------------------------
+# Pinned report bits: neither report has a CLI golden
+
+
+def _pinned_setup():
+    """d = 3, one time-average component, two integrands, products and sums only."""
+    n = 2**9
+    times = np.linspace(0.0, 1.0, n + 1)
+    rng = np.random.default_rng(5)
+    z = rng.standard_normal((n, 3)) * (1.0 / n) ** 0.5
+    x = SampledPath(times, np.vstack([np.zeros(3), np.cumsum(z, axis=0)]))
+    a = time_average_path(x, 0)
+    f1 = cylinder(
+        lambda t, x, a: x[0] * x[1] + a[0] * x[2] + t * x[0], d=3, m=1,
+        grad=lambda t, x, a: np.array([x[1] + t, x[0], a[0]]),
+        hess=lambda t, x, a: np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+        dt=lambda t, x, a: x[0], da=lambda t, x, a: np.array([x[2]]), name="f1",
+    )
+    f2 = cylinder(
+        lambda t, x, a: x[1] * x[1] + x[2] * x[0] + a[0] * a[0], d=3, m=1,
+        grad=lambda t, x, a: np.array([x[2], 2.0 * x[1], x[0]]),
+        hess=lambda t, x, a: np.array([[0.0, 0.0, 1.0], [0.0, 2.0, 0.0], [1.0, 0.0, 0.0]]),
+        dt=lambda t, x, a: 0.0, da=lambda t, x, a: np.array([2.0 * a[0]]), name="f2",
+    )
+    eta = cylinder(
+        lambda t, y, b: y[0] * y[1] + t * y[0], d=2,
+        grad=lambda t, y, b: np.array([y[1] + t, y[0]]),
+        hess=lambda t, y, b: np.array([[0.0, 1.0], [1.0, 0.0]]), name="eta",
+    )
+    return x, a, PartitionSequence(times, 9), [f1, f2], AdmissibleIntegrand(eta)
+
+
+def _assert_bits(got, pinned):
+    got = np.ravel(got)
+    assert [float(v).hex() for v in got] == pinned
+
+
+def test_corollary_report_keeps_its_bits():
+    x, a, part, fs, eta = _pinned_setup()
+    rep = corollary_decomposition(eta, fs, x, a, part, levels=(5, 7, 9))
+    pins = {
+        "lhs_at_T": ["-0x1.106bd43f5e691p-4", "-0x1.2a3146f7a95d4p-3", "-0x1.2152e676bb5b3p-2"],
+        "ito_at_T": ["-0x1.fae4d3e5f6100p-8", "-0x1.b2e1cbc57e71dp-3", "-0x1.a8e7a36653db4p-2"],
+        "horizontal_at_T": ["0x1.035e34eb157e6p-3"],
+        "qv_at_T": ["-0x1.96e4711d20906p-3", "-0x1.09f337c0a0ca1p-4", "0x1.d42dc7a95cc40p-9"],
+        "residuals": ["0x1.b2778b18b8df8p-7", "0x1.497d7861ff680p-8", "0x1.1ea3755d83a80p-9"],
+        "ratios": ["0x1.519007076fbbbp+1", "0x1.2645701ec5d2ep+1"],
+        "qv_relative": ["0x1.2f21ebf1827f0p-7"],
+    }
+    for name, pinned in pins.items():
+        _assert_bits(getattr(rep, name), pinned)
+
+
+@pytest.mark.parametrize(
+    "level, pins",
+    [
+        (7, {
+            "residuals": ["0x1.38e225b0bc128p-5", "0x1.98f054de2b830p-6",
+                          "0x1.98f054de2b830p-6", "0x1.465a83924fac0p-6"],
+            "relative": ["0x1.532cdec27384bp-4"],
+            "direct_final": ["0x1.d84fad76699dep-2", "0x1.0891145d1e556p-2",
+                             "0x1.0891145d1e556p-2", "0x1.a0e721ccb51d5p-2"],
+        }),
+        # at the grid's own level the identity holds up to rounding, so these
+        # residuals record the weighted sums' order to the last bit
+        (9, {
+            "residuals": ["0x1.8000000000000p-52", "0x1.a000000000000p-51",
+                          "0x1.a000000000000p-51", "0x1.0000000000000p-51"],
+            "relative": ["0x1.557b8308a01a0p-50"],
+            "direct_final": ["0x1.37dd1e20ee977p-1", "0x1.966bdb823cc06p-2",
+                             "0x1.966bdb823cc06p-2", "0x1.0422a8e21ead2p-1"],
+        }),
+    ],
+)
+def test_qv_of_Y_report_keeps_its_bits(level, pins):
+    x, a, part, fs, _ = _pinned_setup()
+    rep = qv_of_Y_check([AdmissibleIntegrand(f, a) for f in fs], x, part, level)
+    for name, pinned in pins.items():
+        _assert_bits(getattr(rep, name), pinned)
