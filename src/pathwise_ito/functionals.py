@@ -56,14 +56,15 @@ import numpy as np
 
 from .paths import (
     BVPath,
-    Domain,
+    Box,
     DomainError,
     GridError,
     LINEAR,
     PartitionSequence,
     SampledPath,
     _bumped,
-    _domain_mask,
+    _require_box,
+    _require_same_grid,
     stop,
 )
 from .qv import qv_matrix
@@ -85,9 +86,10 @@ class Functional:
     """A scalar functional with evaluation and derivative callables.
 
     ``evaluate`` is mandatory; the three derivative slots are optional and
-    fall back to finite differences on the functional itself.  ``x_domain``
-    restricts the path values the functional accepts; vertical bumps are
-    validated against it so boundary proximity surfaces as DomainError.
+    fall back to finite differences on the functional itself.  ``x_domain``,
+    a :class:`Box`, restricts the path values the functional accepts;
+    vertical bumps are validated against it so boundary proximity surfaces
+    as DomainError.
     """
 
     __slots__ = ("d", "m", "name", "x_domain", "_point", "_on_states")
@@ -100,7 +102,7 @@ class Functional:
         vertical: Callable | None = None,
         vertical2: Callable | None = None,
         horizontal: Callable | None = None,
-        x_domain: Domain | None = None,
+        x_domain: Box | None = None,
         name: str = "functional",
     ) -> None:
         if d < 1 or m < 0:
@@ -108,7 +110,7 @@ class Functional:
         self.d = int(d)
         self.m = int(m)
         self.name = name
-        self.x_domain = x_domain
+        self.x_domain = _require_box(x_domain)
         # Slot name -> callable at one time (None: finite differences), and
         # -> map on stacked states (t, X, A) for each slot with a state form.
         self._point = dict(evaluate=evaluate, vertical=vertical, vertical2=vertical2,
@@ -167,13 +169,14 @@ def _state_slot(F: Functional, slot: str, x, a=None, rows=None) -> np.ndarray | 
     grid indices (every grid time when None).  At a grid time a path's
     value is its sample there, so a state-only F needs no stopped or
     pre-step path.  Returns None when F has no state form for the slot (a
-    general functional, or a finite-difference fallback) or when ``a``
-    lives on another grid; the caller then evaluates point by point.
+    general functional, or a finite-difference fallback); the caller then
+    evaluates point by point.  An ``a`` on another grid raises GridError
+    before anything is evaluated.
     """
+    if a is not None:
+        _require_same_grid(x, a)
     fn = F._on_states.get(slot)
     if fn is None:
-        return None
-    if a is not None and a.times is not x.times and not np.array_equal(a.times, x.times):
         return None
     F._check_args(x, a)
     sel = slice(None) if rows is None else rows
@@ -382,7 +385,7 @@ def _constant_slopes(value: Callable, dx: np.ndarray, dh: np.ndarray, x_domain, 
     return _combined({"evaluate": value, **slopes}, d, m, x_domain, name)
 
 
-def coordinate(i: int = 0, d: int = 1, m: int = 0, x_domain: Domain | None = None) -> Functional:
+def coordinate(i: int = 0, d: int = 1, m: int = 0, x_domain: Box | None = None) -> Functional:
     """F(t, X, A) = X_i(t)."""
     if not 0 <= i < d:
         raise ValueError("coordinate index out of range")
@@ -420,7 +423,7 @@ def cylinder(
     hess: Callable | None = None,
     dt: Callable | None = None,
     da: Callable | None = None,
-    x_domain: Domain | None = None,
+    x_domain: Box | None = None,
     name: str = "cylinder",
 ) -> Functional:
     """F(t, X, A) = f(t, X(t), A(t)) for a smooth instantaneous f.
@@ -462,7 +465,7 @@ def _formula_cylinder(
     hess: Sequence[Sequence[Callable]] | None = None,
     dt: Callable | None = None,
     da: Sequence[Callable] | None = None,
-    x_domain: Domain | None = None,
+    x_domain: Box | None = None,
     name: str = "cylinder",
 ) -> Functional:
     """:func:`cylinder` from elementwise formulas over (t, x1..xd, a1..am).
@@ -523,10 +526,11 @@ def quadratic_variation_path(
 # Combinators
 
 
-def _merge_domains(a: Domain | None, b: Domain | None) -> Domain | None:
+def _merge_domains(a: Box | None, b: Box | None) -> Box | None:
+    """The intersection: bounds are strict, so its mask is the and of both masks."""
     if a is None or b is None or a is b:
         return b if a is None else a
-    return lambda values: _domain_mask(values, a) & _domain_mask(values, b)
+    return Box(tuple(map(max, a.lower, b.lower)), tuple(map(min, a.upper, b.upper)))
 
 
 def product(F: Functional, G: Functional) -> Functional:
@@ -579,7 +583,7 @@ def compose(outer: Functional, inners: Sequence[Functional]) -> Functional:
     name = f"{outer.name}({', '.join(f.name for f in inners)})"
 
     def check(times, rows):
-        bad = [] if outer.x_domain is None else np.flatnonzero(~_domain_mask(rows, outer.x_domain))
+        bad = [] if outer.x_domain is None else np.flatnonzero(~outer.x_domain.contains(rows))
         if len(bad):
             t = float(times[bad[0]])
             raise DomainError(f"{name}: inner values at t={t!r} leave the domain of {outer.name}")

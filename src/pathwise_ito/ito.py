@@ -234,25 +234,10 @@ def _sampled(F: Functional, slot: str, x: SampledPath, a: BVPath | None, rows=No
     return out
 
 
-def _stieltjes_sum(f: np.ndarray, measures, weights=None) -> np.ndarray:
-    """Cumulative sum_r integral of f[:, r] (times weights) d measures[r], in r order."""
-    acc = np.zeros(f.shape[0])
-    for r, mu in enumerate(measures):
-        acc += cumulative_stieltjes(f[:, r] if weights is None else f[:, r] * weights, mu)
-    return acc
-
-
-def _horizontal_path(F: Functional, x: SampledPath, a: BVPath | None, weights=None) -> np.ndarray:
-    """Cumulative sum_i integral of D_i F dA_i including the clock dA_0."""
-    hv = _sampled(F, "horizontal", x, a)
-    measures = measures_with_clock(a if a is not None else BVPath.empty(x.times))
-    return _stieltjes_sum(hv, measures, weights)
-
-
-def _qv_sum_path(v2: np.ndarray, measures, weights=None) -> np.ndarray:
-    """Cumulative sum_ij integral of v2[:, i, j] d[X_i, X_j], in (i, j) order."""
-    flat = [mu for row in measures for mu in row]
-    return _stieltjes_sum(v2.reshape(v2.shape[0], len(flat)), flat, weights)
+def _horizontal_path(F: Functional, x: SampledPath, a: BVPath | None, weights=1.0) -> np.ndarray:
+    """Cumulative sum_i integral of D_i F (times weights) dA_i, the clock dA_0 included."""
+    clock = measures_with_clock(a if a is not None else BVPath.empty(x.times))
+    return cumulative_stieltjes(_sampled(F, "horizontal", x, a) * weights, clock)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,10 +278,10 @@ def ito_formula_report(
     integral = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv, tol)
     ito_at_T = integral.values[:, -1].copy()
     horiz = _horizontal_path(F, x, a)
-    v2 = _sampled(F, "vertical2", x, a)
+    v2 = _sampled(F, "vertical2", x, a).reshape(x.n_points, -1)
     qv_at_T = np.empty(len(lv))
     for row, n in enumerate(lv):
-        qv_at_T[row] = 0.5 * _qv_sum_path(v2, qv_measures(x, partition, n))[-1]
+        qv_at_T[row] = 0.5 * cumulative_stieltjes(v2, qv_measures(x, partition, n))[-1]
         terms = {"lhs": lhs, "ito": ito_at_T[row], "horizontal": horiz[-1], "qv": qv_at_T[row]}
         for name, value in terms.items():
             if not np.isfinite(value):
@@ -360,11 +345,12 @@ def _weighted_qv_paths(
 ) -> np.ndarray:
     """Paths t -> sum_kl integral of xi_(i),k xi_(j),l d[X_k, X_l] for all (i, j)."""
     nu, n_pts, _ = sam.shape
-    measures = qv_measures(x, partition, level)
+    qvm = qv_measures(x, partition, level)
     out = np.zeros((n_pts, nu, nu))
     for i in range(nu):
         for j in range(i, nu):
-            acc = _qv_sum_path(sam[i, :, :, None] * sam[j, :, None, :], measures)
+            weights = sam[i, :, :, None] * sam[j, :, None, :]
+            acc = cumulative_stieltjes(weights.reshape(n_pts, -1), qvm)
             out[:, i, j] = acc
             out[:, j, i] = acc
     return out
@@ -475,12 +461,11 @@ def augment(
     got = 0 if a is None else a.m
     if got != m:
         raise ValueError(f"component path carries {got} columns, functionals want {m}")
-    measures = qv_measures(x, partition, level)
+    qvm = qv_measures(x, partition, level)
     cols = np.empty((x.n_points, len(f_vec)))
     for ell, F in enumerate(f_vec):
-        cols[:, ell] = _horizontal_path(F, x, a) + 0.5 * _qv_sum_path(
-            _sampled(F, "vertical2", x, a), measures
-        )
+        v2 = _sampled(F, "vertical2", x, a).reshape(x.n_points, -1)
+        cols[:, ell] = _horizontal_path(F, x, a) + 0.5 * cumulative_stieltjes(v2, qvm)
     base = a if a is not None else BVPath.empty(x.times)
     a_tilde = concat_components(base, BVPath(x.times, cols))
     constants = np.array([F.evaluate(0.0, x, a) for F in f_vec])
@@ -655,7 +640,7 @@ def corollary_decomposition(
     eta_samples = _sampled(eta.functional, "vertical", y, eta.bv)
     horiz = np.zeros(x.n_points)
     for ell, F in enumerate(f_vec):
-        horiz += _horizontal_path(F, x, a, weights=eta_samples[:, ell])
+        horiz += _horizontal_path(F, x, a, weights=eta_samples[:, ell, None])
     H = compose(eta.functional, f_vec)
     zeta = AdmissibleIntegrand(
         H, concat_components(a if a is not None else BVPath.empty(x.times), eta.bv)
@@ -663,12 +648,15 @@ def corollary_decomposition(
     lhs_T = ito_integral(eta, y, partition, lv, tol).values[:, -1].copy()
     ito_T = ito_integral(zeta, x, partition, lv, tol).values[:, -1].copy()
     qv_T = np.empty(len(lv))
-    v2 = [_sampled(F, "vertical2", x, a) for F in f_vec]
+    v2 = [
+        _sampled(F, "vertical2", x, a).reshape(x.n_points, -1) * eta_samples[:, ell, None]
+        for ell, F in enumerate(f_vec)
+    ]
     for row, n in enumerate(lv):
-        measures = qv_measures(x, partition, n)
+        qvm = qv_measures(x, partition, n)
         total = 0.0
-        for ell in range(len(f_vec)):
-            total += 0.5 * _qv_sum_path(v2[ell], measures, weights=eta_samples[:, ell])[-1]
+        for weighted in v2:
+            total += 0.5 * cumulative_stieltjes(weighted, qvm)[-1]
         qv_T[row] = total
     residuals = np.abs(lhs_T - (ito_T + horiz[-1] + qv_T))
     ratios = _residual_ratios(residuals)

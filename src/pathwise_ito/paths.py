@@ -19,7 +19,7 @@ import io
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,22 +71,20 @@ class Box:
         return np.all((v > lo) & (v < hi), axis=-1)
 
 
-Domain = Union[Box, Callable[[np.ndarray], np.ndarray]]
-
-
 def positive_orthant(d: int = 1) -> Box:
     return Box(lower=(0.0,) * d, upper=(np.inf,) * d)
 
 
-def _domain_mask(values: np.ndarray, domain: Domain) -> np.ndarray:
-    ok = domain.contains(values) if isinstance(domain, Box) else domain(values)
-    return np.asarray(ok, dtype=bool)
+def _require_box(domain: Box | None) -> Box | None:
+    if domain is not None and not isinstance(domain, Box):
+        raise TypeError(f"a domain must be a Box or None, got {type(domain).__name__}")
+    return domain
 
 
-def _check_domain(values: np.ndarray, domain: Domain | None) -> None:
+def _check_domain(values: np.ndarray, domain: Box | None) -> None:
     if domain is None:
         return
-    ok = np.atleast_1d(_domain_mask(values, domain))
+    ok = np.atleast_1d(domain.contains(values))
     if not bool(np.all(ok)):
         idx = int(np.argmin(ok))
         raise DomainError(f"path value at grid index {idx} lies outside the domain")
@@ -130,9 +128,10 @@ class SampledPath:
     """A vector-valued path sampled on a fixed grid.
 
     ``values`` has shape (N, d); a 1-d array is promoted to a single
-    component.  If ``domain`` is given, every grid value must lie inside it
-    (a violation raises :class:`DomainError` at construction, which is what
-    makes one-sided finite differences near a boundary detectable).
+    component.  If ``domain`` (a :class:`Box`) is given, every grid value
+    must lie inside it (a violation raises :class:`DomainError` at
+    construction, which is what makes one-sided finite differences near a
+    boundary detectable).
 
     A stopped, pre-step, bumped or composed path is a view: it looks its
     rows up in its source and builds ``values`` only when they are read.
@@ -141,7 +140,7 @@ class SampledPath:
     times: np.ndarray
     values: np.ndarray
     interpolation: str = LINEAR
-    domain: Domain | None = None
+    domain: Box | None = None
 
     def __post_init__(self) -> None:
         t = _validate_grid(self.times)
@@ -158,7 +157,7 @@ class SampledPath:
         if self.interpolation not in _INTERPOLATIONS:
             raise ValueError(f"unknown interpolation tag {self.interpolation!r}")
         self._check_extra(v)
-        _check_domain(v, self.domain)
+        _check_domain(v, _require_box(self.domain))
         t.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -174,7 +173,7 @@ class SampledPath:
         times: np.ndarray,
         values: np.ndarray,
         interpolation: str,
-        domain: Domain | None,
+        domain: Box | None,
     ) -> "SampledPath":
         # Internal constructor for derived paths whose grid was already
         # validated and whose values are drawn from an accepted path.
@@ -385,7 +384,7 @@ def _frozen_from(path: SampledPath, cut: int, frozen: np.ndarray) -> SampledPath
     return _view(path, lambda i: base_row(i) if i < cut else frozen, build)
 
 
-def _bumped(path: SampledPath, j: int, i: int, h: float, domain: Domain | None) -> SampledPath:
+def _bumped(path: SampledPath, j: int, i: int, h: float, domain: Box | None) -> SampledPath:
     """View of path plus h in component i from grid index j on; checks the domain."""
     base_row = path._row
 
@@ -613,7 +612,7 @@ def _read_table_csv(src) -> tuple[np.ndarray, np.ndarray, list[str]]:
 
 
 def load_sampled_path(
-    src, interpolation: str = LINEAR, domain: Domain | None = None
+    src, interpolation: str = LINEAR, domain: Box | None = None
 ) -> SampledPath:
     times, values, _ = read_path_table(src)
     try:

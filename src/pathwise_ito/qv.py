@@ -274,19 +274,13 @@ def qv_matrix(
     return QVMatrix(times=x.times, entries=entries, level=int(level))
 
 
-def qv_measures(
-    x: SampledPath, partition: PartitionSequence, level: int
-) -> list[list[StieltjesMeasure]]:
-    """Stieltjes measures d[x_i, x_j]_n for every entry, as a d x d table."""
+def qv_measures(x: SampledPath, partition: PartitionSequence, level: int) -> StieltjesMeasure:
+    """The matrix-valued measure d[x]_n: row i * d + j holds d[x_i, x_j]_n."""
     _require_same_grid(x, partition)
     _, incs = _qv_matrix_arrays(
         _polarization_columns(x.values), x.d, partition, level, paths=False, increments=True
     )
-    rows = _entry_rows(x.d)
-    return [
-        [StieltjesMeasure(x.times, incs[rows[i, j]]) for j in range(x.d)]
-        for i in range(x.d)
-    ]
+    return StieltjesMeasure(x.times, incs[_entry_rows(x.d).ravel()])
 
 
 def qv_converged(

@@ -10,6 +10,13 @@ deliberate and shared with the Ito sums: the integrand is only ever read at
 times where its inputs are already known, and the two notions coincide when
 the integrator has finite variation.  Mixing endpoint conventions between
 the two would silently break that agreement.
+
+An R^r-valued integrator is one measure with r rows of increments; f is
+then (N, r), and the rows' left-endpoint sums are added in row order onto
++0.0.  Each change-of-variables term is one such integral: the horizontal
+term against (t, A_1, ..., A_m) (:func:`measures_with_clock`), the
+second-order term against the d * d entries of [X], row-major
+(``qv.qv_measures``).  A scalar measure is the one-row case.
 """
 from __future__ import annotations
 
@@ -23,7 +30,11 @@ from .reduction import running_sum
 
 @dataclass(frozen=True, eq=False)
 class StieltjesMeasure:
-    """Grid increments dA of a finite-variation integrator on [0, T]."""
+    """Grid increments dA of a finite-variation integrator on [0, T].
+
+    ``increments`` is (N-1,) for a scalar integrator and (r, N-1), row k
+    holding dA_k, for an R^r-valued one.
+    """
 
     times: np.ndarray
     increments: np.ndarray
@@ -31,7 +42,7 @@ class StieltjesMeasure:
     def __post_init__(self) -> None:
         t = _validate_grid(self.times)
         inc = np.ascontiguousarray(np.asarray(self.increments, dtype=np.float64))
-        if inc.ndim != 1 or inc.shape[0] != t.shape[0] - 1:
+        if inc.ndim not in (1, 2) or inc.shape[-1] != t.shape[0] - 1:
             raise GridError("need one increment per grid cell")
         t.setflags(write=False)
         inc.setflags(write=False)
@@ -45,19 +56,16 @@ class StieltjesMeasure:
         return cls(times, np.diff(times))
 
     @classmethod
-    def from_component(cls, a: BVPath | SampledPath, i: int = 0) -> "StieltjesMeasure":
-        return cls(a.times, np.diff(a.values[:, i]))
-
-    @classmethod
     def from_samples(cls, times: np.ndarray, values: np.ndarray) -> "StieltjesMeasure":
         values = np.asarray(values, dtype=np.float64)
         return cls(times, np.diff(values))
 
     def cumulative(self) -> np.ndarray:
-        """A(t) - A(0) on the grid, consistent with the stored increments."""
+        """A(t) - A(0) on the grid (one row per component), from the increments."""
         return running_sum(self.increments)
 
     def total_variation(self) -> float:
+        """Summed over the rows for an R^r-valued measure."""
         return float(np.sum(np.abs(self.increments)))
 
 
@@ -68,17 +76,25 @@ def total_variation(a: BVPath | SampledPath | StieltjesMeasure, i: int = 0) -> f
     return float(np.sum(np.abs(np.diff(a.values[:, i]))))
 
 
-def _as_sample_array(f, n: int) -> np.ndarray:
+def _as_sample_array(f, shape: tuple[int, ...]) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (n,):
-        raise GridError(f"integrand must be sampled at all {n} grid points")
+    if f.shape != shape:
+        raise GridError(f"integrand must be sampled at all grid points, shape {shape}")
     return f
 
 
 def cumulative_stieltjes(f, mu: StieltjesMeasure) -> np.ndarray:
-    """All partial integrals t_k -> integral_0^{t_k} f dA as one array."""
-    f = _as_sample_array(f, mu.times.shape[0])
-    return running_sum(f[:-1] * mu.increments)
+    """All partial integrals t_k -> integral_0^{t_k} f . dA as one array.
+
+    ``f`` is (N,) against a scalar measure and (N, r) against r rows; the
+    rows' left-endpoint sums are added in row order onto +0.0.
+    """
+    n = mu.times.shape[0]
+    f = _as_sample_array(f, (n,) + mu.increments.shape[:-1])
+    acc = np.zeros(n)
+    for col, inc in zip(f.reshape(n, -1).T, mu.increments.reshape(-1, n - 1)):
+        acc += running_sum(col[:-1] * inc)
+    return acc
 
 
 def stieltjes_integral(f, mu: StieltjesMeasure, t: float | None = None) -> float:
@@ -103,16 +119,16 @@ class AssociativityResidual:
 
 
 def stieltjes_associativity_check(f, g, mu: StieltjesMeasure) -> AssociativityResidual:
-    """Compare int f dB with int f g dA over every upper limit.
+    """Compare int f dB with int f g dA over every upper limit, mu scalar.
 
     B is built from the same left-endpoint sums, so the two sides contain
     the same products grouped differently; the residual only picks up
     floating-point regrouping, and is exactly zero whenever the products
     f(t_j) g(t_j) dA_j are exact (e.g. step functions with dyadic values).
     """
-    n = mu.times.shape[0]
-    f = _as_sample_array(f, n)
-    g = _as_sample_array(g, n)
+    shape = (mu.times.shape[0],)
+    f = _as_sample_array(f, shape)
+    g = _as_sample_array(g, shape)
     b_inc = g[:-1] * mu.increments
     lhs = running_sum(f[:-1] * b_inc)
     rhs = running_sum((f * g)[:-1] * mu.increments)
@@ -125,12 +141,9 @@ def stieltjes_associativity_check(f, g, mu: StieltjesMeasure) -> AssociativityRe
     )
 
 
-def measures_with_clock(a: BVPath) -> list[StieltjesMeasure]:
-    """The clock measure dt followed by dA_1 ... dA_m."""
-    out = [StieltjesMeasure.clock(a.times)]
-    for i in range(a.m):
-        out.append(StieltjesMeasure.from_component(a, i))
-    return out
+def measures_with_clock(a: BVPath) -> StieltjesMeasure:
+    """The R^(m+1)-valued measure with rows (dt, dA_1, ..., dA_m)."""
+    return StieltjesMeasure(a.times, np.vstack([np.diff(a.times), np.diff(a.values, axis=0).T]))
 
 
 __all__ = [

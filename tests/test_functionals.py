@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathwise_ito.config import build_functional
 from pathwise_ito.functionals import (
     Functional,
     ProbeSchedule,
@@ -30,6 +31,7 @@ from pathwise_ito.paths import (
     PartitionSequence,
     SampledPath,
     concat_components,
+    positive_orthant,
     stop,
 )
 
@@ -411,6 +413,19 @@ def test_compose_checks_the_outer_domain():
     # the inner path dips negative on this x
     with pytest.raises(DomainError):
         H.evaluate(0.75, x)
+
+
+def test_merged_domains_are_the_intersecting_box():
+    # a config product of two positive cylinders merges two equal boxes
+    spec = {"cylinder": {"f": "x1", "positive": True}}
+    assert build_functional({"product": [spec, spec]}, 1, 0).x_domain == positive_orthant(1)
+    lo = cylinder(lambda t, xv, av: xv[0], d=2, x_domain=Box((0.0, -1.0), (2.0, np.inf)))
+    hi = cylinder(lambda t, xv, av: xv[1], d=2, x_domain=Box((-np.inf, 0.5), (1.0, 3.0)))
+    v = np.array(np.meshgrid(*[[-1.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0, 3.0, 4.0]] * 2)).T.reshape(-1, 2)
+    both = lo.x_domain.contains(v) & hi.x_domain.contains(v)
+    for H in (product(lo, hi), compose(coordinate(0, d=2), [lo, hi])):
+        assert H.x_domain == Box((0.0, 0.5), (1.0, 3.0))
+        assert np.array_equal(H.x_domain.contains(v), both)
 
 
 def test_compose_cost_stays_linear():

@@ -606,6 +606,29 @@ def test_corollary_gate_rejects_look_ahead():
         corollary_decomposition(eta, [_endpoint_peek().functional], x, None, part)
 
 
+@pytest.mark.parametrize("state_form", [True, False], ids=["cylinder", "general"])
+def test_augment_rejects_a_component_path_on_another_grid_before_any_call(
+    state_form, monkeypatch
+):
+    x, part = _brownian(exponent=8)
+    other = BVPath(x.times**2, x.times)  # the same number of points, another grid
+    if state_form:
+        F = cylinder(lambda t, xv, av: xv[0] * av[0], d=1, m=1,
+                     grad=lambda t, xv, av: np.array([av[0]]),
+                     hess=lambda t, xv, av: np.zeros((1, 1)),
+                     dt=lambda t, xv, av: 0.0, da=lambda t, xv, av: np.array([xv[0]]))
+    else:
+        F = Functional(lambda t, xp, ap: 0.0, d=1, m=1)
+    calls = []
+    at = Functional._at
+    monkeypatch.setattr(
+        Functional, "_at", lambda self, slot, *args: calls.append(slot) or at(self, slot, *args)
+    )
+    with pytest.raises(GridError):
+        augment([F], x, other, part, 8)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Pinned report bits: neither report has a CLI golden
 

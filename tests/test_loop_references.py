@@ -24,7 +24,7 @@ from pathwise_ito.ito import AdmissibleIntegrand, _weighted_qv_paths, ito_integr
 from pathwise_ito.paths import PartitionSequence, SampledPath
 from pathwise_ito.qv import qv_measures
 from pathwise_ito.reduction import ordered_dot, running_sum
-from pathwise_ito.stieltjes import cumulative_stieltjes
+from pathwise_ito.stieltjes import StieltjesMeasure, cumulative_stieltjes
 
 NUM_LEVELS = 3
 N_POINTS = 2**NUM_LEVELS + 1
@@ -40,14 +40,15 @@ ELEMENTS = st.one_of(
 
 def _weighted_qv_loop(sam, x, partition, level):
     nu, n_pts, d = sam.shape
-    measures = qv_measures(x, partition, level)
+    rows = qv_measures(x, partition, level).increments
     out = np.zeros((n_pts, nu, nu))
     for i in range(nu):
         for j in range(i, nu):
             acc = np.zeros(n_pts)
             for k in range(d):
                 for l in range(d):
-                    acc += cumulative_stieltjes(sam[i, :, k] * sam[j, :, l], measures[k][l])
+                    mu = StieltjesMeasure(x.times, rows[k * d + l])  # one scalar entry
+                    acc += cumulative_stieltjes(sam[i, :, k] * sam[j, :, l], mu)
             out[:, i, j] = acc
             out[:, j, i] = acc
     return out

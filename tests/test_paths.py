@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathwise_ito.functionals import Functional
 from pathwise_ito.ito import IntegralResult
 from pathwise_ito.paths import (
     BVPath,
@@ -178,11 +179,12 @@ def test_box_domain_is_strictly_open():
         SampledPath(_grid(3), np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]), domain=orth)
 
 
-def test_callable_domain():
+def test_a_domain_must_be_a_box():
     dom = lambda v: v[..., 0] < 2.0
-    SampledPath(_grid(3), np.array([0.0, 1.0, 1.5]), domain=dom)
-    with pytest.raises(DomainError):
-        SampledPath(_grid(3), np.array([0.0, 1.0, 2.5]), domain=dom)
+    with pytest.raises(TypeError):
+        SampledPath(_grid(3), np.array([0.0, 1.0, 1.5]), domain=dom)
+    with pytest.raises(TypeError):
+        Functional(lambda t, x, a: 0.0, d=1, x_domain=dom)
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,10 @@ def test_measure_increments_sum_back_to_the_path():
     part = PartitionSequence(times, num_levels=4)
     for lev in (1, 2, 4):
         m = qv_matrix(x, part, lev)
-        table = qv_measures(x, part, lev)
+        cum = qv_measures(x, part, lev).cumulative()  # row i * d + j: [x_i, x_j]
         for i in range(2):
             for j in range(2):
-                assert np.allclose(
-                    table[i][j].cumulative(), m.entry_path(i, j), rtol=0, atol=5e-14
-                )
+                assert np.allclose(cum[i * 2 + j], m.entry_path(i, j), rtol=0, atol=5e-14)
 
 
 def test_alternating_path_collapses_on_coarser_levels():

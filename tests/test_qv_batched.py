@@ -139,10 +139,8 @@ def test_batched_qv_matches_the_per_column_reference(case):
         assert only_paths[1] is None and only_incs[0] is None
         assert _same_bits(only_paths[0], paths) and _same_bits(only_incs[1], incs)
         assert _same_bits(qv_matrix(x, part, level).matrices, ref_mats)
-        table = qv_measures(x, part, level)
-        for i in range(x.d):
-            for j in range(x.d):
-                assert _same_bits(table[i][j].increments, ref_incs[:, i, j])
+        rows = qv_measures(x, part, level).increments  # row i * d + j: d[x_i, x_j]
+        assert _same_bits(rows, ref_incs.reshape(-1, x.d * x.d).T)
         for c in range(x.d):
             assert _same_bits(qv_scalar(x, part, level, component=c), ref_mats[-1, c, c])
     if num_levels >= 3:

@@ -28,7 +28,13 @@ from pathwise_ito.ito import (
     ito_integral,
 )
 from pathwise_ito.pathgen import GeneratorSpec, generate
-from pathwise_ito.paths import BVPath, DomainError, PartitionSequence, concat_components
+from pathwise_ito.paths import (
+    BVPath,
+    DomainError,
+    GridError,
+    PartitionSequence,
+    concat_components,
+)
 
 N_POINTS = 64
 NUM_LEVELS = 5
@@ -191,11 +197,9 @@ def test_wrong_gradient_length_raises_the_same_error():
     assert messages[0] == messages[1] == "cylinder: derivative must have 2 entries"
 
 
-def test_component_path_on_another_grid_falls_back_to_points():
+def test_component_path_on_another_grid_is_a_grid_error():
     x, part, _ = _data(5, 1, 0)
     F = build_functional({"cylinder": {"f": "x1*a1", "grad": ["a1"]}}, 1, 1)
     fine = np.linspace(0.0, 1.0, 2 * N_POINTS - 1)
-    a = BVPath(fine, fine**2)
-    got = _sampled(F, "vertical", x, a)
-    want = np.array([F.vertical(float(t), x, a) for t in x.times])
-    assert _bits(got) == _bits(want)
+    with pytest.raises(GridError):
+        _sampled(F, "vertical", x, BVPath(fine, fine**2))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pathwise_ito.paths import BVPath, GridError
+from pathwise_ito.paths import BVPath, GridError, PartitionSequence, SampledPath
+from pathwise_ito.qv import qv_measures
 from pathwise_ito.stieltjes import (
     StieltjesMeasure,
     cumulative_stieltjes,
@@ -73,19 +74,63 @@ def test_total_variation_of_components():
     a = BVPath(times, np.column_stack([times**2, np.array([0.0, 1.0, 0.0, 1.0, 0.0])]))
     assert math.isclose(total_variation(a, 0), 1.0, rel_tol=1e-15)
     assert math.isclose(total_variation(a, 1), 4.0, rel_tol=1e-15)
-    assert math.isclose(
-        total_variation(StieltjesMeasure.from_component(a, 1)), 4.0, rel_tol=1e-15
-    )
+    row = measures_with_clock(a).increments[2]  # rows: dt, dA_1, dA_2
+    assert math.isclose(total_variation(StieltjesMeasure(times, row)), 4.0, rel_tol=1e-15)
 
 
 def test_measures_with_clock_layout():
     times = _grid(6)
     a = BVPath(times, np.column_stack([times, 2.0 * times]))
-    ms = measures_with_clock(a)
-    assert len(ms) == 3
-    assert np.allclose(ms[0].cumulative(), times, atol=1e-15)
-    assert np.allclose(ms[2].cumulative(), 2.0 * times, atol=1e-15)
-    assert len(measures_with_clock(BVPath.empty(times))) == 1
+    mu = measures_with_clock(a)
+    assert mu.increments.shape == (3, 5)
+    cum = mu.cumulative()
+    assert np.allclose(cum[0], times, atol=1e-15)
+    assert np.allclose(cum[2], 2.0 * times, atol=1e-15)
+    assert measures_with_clock(BVPath.empty(times)).increments.shape == (1, 5)
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_a_vector_measure_adds_its_rows_in_order_onto_plus_zero():
+    rng = np.random.default_rng(11)
+    times = _grid(17)
+    inc = rng.standard_normal((3, 16))
+    f = rng.standard_normal((17, 3))
+    f[:5] = -1.0
+    inc[:, :4] = 0.0  # -0.0 terms: each row's running sum starts -0.0
+    want = np.zeros(17)
+    for k in range(3):
+        want += _brute_partial_integrals(f[:, k], times, inc[k])
+    assert _same_bits(cumulative_stieltjes(f, StieltjesMeasure(times, inc)), want)
+    # a scalar measure is the one-row case, so its -0.0 partial sums read +0.0
+    got = cumulative_stieltjes(f[:, 0], StieltjesMeasure(times, inc[0]))
+    assert not np.signbit(got[:5]).any()
+    assert _same_bits(got, cumulative_stieltjes(f[:, :1], StieltjesMeasure(times, inc[:1])))
+    with pytest.raises(GridError):
+        cumulative_stieltjes(f[:, 0], StieltjesMeasure(times, inc))
+    with pytest.raises(GridError):
+        cumulative_stieltjes(f[:, :2], StieltjesMeasure(times, inc))
+
+
+def test_each_term_integrates_against_one_measure(monkeypatch):
+    made = []
+    post_init = StieltjesMeasure.__post_init__
+
+    def counting(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StieltjesMeasure, "__post_init__", counting)
+    n, d = 65, 16
+    rng = np.random.default_rng(2)
+    x = SampledPath(_grid(n), np.cumsum(rng.standard_normal((n, d)), axis=0))
+    mu = qv_measures(x, PartitionSequence(x.times, 6), 4)
+    assert len(made) == 1 and mu.increments.shape == (d * d, n - 1)
+    made.clear()
+    mu = measures_with_clock(BVPath(x.times, x.values[:, :2]))
+    assert len(made) == 1 and mu.increments.shape == (3, n - 1)
 
 
 def test_associativity_exact_on_dyadic_data():
