@@ -63,6 +63,7 @@ from .paths import (
     PartitionSequence,
     SampledPath,
     _bumped,
+    _grid_position,
     _require_box,
     _require_same_grid,
     stop,
@@ -274,9 +275,10 @@ def fd_horizontal(
     All quotients freeze the path data at t and move only the evaluation
     time (and, for k >= 1, the k-th extra component) forward by at most h,
     clamped so t + h never passes T.  At t = T the window vanishes and
-    every component is 0 and flagged.  For k >= 1 the trial steps h/4,
-    h/2, h are snapped to grid times of A, because the mixed path can hold
-    its kink exactly only at a grid point; an off-grid kink would be
+    every component is 0 and flagged.  For k >= 1 each trial step h_k in
+    (h/4, h/2, h) is snapped to the grid time of A at or after t + h_k (and
+    after t, under the paths module's grid rule), because the mixed path can
+    hold its kink exactly only at a grid point; an off-grid kink would be
     smoothed by interpolation and bias the quotient by the interpolation
     fraction.  The smallest snapped step with |A_k(t+h) - A_k(t)| above a
     tiny guard wins; a flat component is 0 and flagged as underdetermined.
@@ -297,13 +299,11 @@ def fd_horizontal(
     out[0] = (F.evaluate(t + h0, x_t, a_t) - base) / h0
     if m:
         guard = _DERIV_GUARD * max(1.0, float(np.max(np.abs(a.values))))
-        tol = 1e-12 * max(1.0, T)
-        first_after = int(np.searchsorted(a.times, t + tol))
+        first_after = _grid_position(a.times, t)[0] + 1
         steps = []
         for hk in (h0 / 4.0, h0 / 2.0, h0):
-            j = int(np.searchsorted(a.times, t + hk - tol))
-            j = min(max(j, first_after), a.times.shape[0] - 1)
-            th = float(a.times[j])
+            j, on_grid = _grid_position(a.times, t + hk)
+            th = float(a.times[min(max(j + (not on_grid), first_after), a.n_points - 1)])
             if th > t and th not in steps:
                 steps.append(th)
         for k in range(m):

@@ -19,7 +19,8 @@ construction that turns integral paths back into functional values, and the
 associativity verifier comparing integration against Y with integration
 against X under a composed integrand.  All sums run in a fixed order, so
 reports are bit-reproducible from run to run.  A NaN or infinite term is
-never reported: it raises DomainError naming the term and the level.
+never reported: it raises DomainError naming the term, the level and the
+first grid time at which the term's running path is non-finite.
 
 Cost.  Each slot's route, and so its cost a level, is the rule in the
 ``functionals`` module docstring.
@@ -88,6 +89,13 @@ def _level_list(partition: PartitionSequence, levels) -> tuple[int, ...]:
     return out
 
 
+def _require_finite_term(name: str, path: np.ndarray, times: np.ndarray, level: int) -> None:
+    """DomainError naming the first grid time at which a term's running path is non-finite."""
+    bad = np.flatnonzero(~np.isfinite(path))
+    if bad.shape[0]:
+        raise DomainError(f"non-finite {name} at level {level}, grid time {float(times[bad[0]])}")
+
+
 @dataclass(frozen=True, eq=False)
 class IntegralResult:
     """Per-level integral paths on the base grid plus Cauchy diagnostics.
@@ -131,8 +139,9 @@ def ito_integral(
     pre-step approximations; that variant is a diagnostic for comparing
     the two summation conventions, not the integral this module defines.
     Convergence is a Cauchy check: the last cross-level difference must
-    stay below tol relative to the finest level's sup norm.  A non-finite
-    cell term raises DomainError naming its level and grid time.
+    stay below tol relative to the finest level's sup norm.  A cell term
+    or running sum that is non-finite raises DomainError naming its level
+    and the cell's left grid time.
 
     Every level fills all N rows of ``values`` (``np.interp`` between its
     partition points): O(N) a level, ~2 ms of ~7 ms for a cylinder's 14
@@ -181,13 +190,8 @@ def ito_integral(
         dx = x.values[idx[1:]] - x.values[idx[:-1]]
         xi_rows = xi_grid[idx[:-1]] if at_lefts is not None else per_cell[n]
         with np.errstate(invalid="ignore", over="ignore"):
-            terms = ordered_dot(xi_rows, dx)
-        bad = np.flatnonzero(~np.isfinite(terms))
-        if bad.shape[0]:
-            raise DomainError(
-                f"non-finite ito term xi . dX at level {n}, grid time {float(pts[bad[0]])}"
-            )
-        at_points = running_sum(terms)
+            at_points = running_sum(ordered_dot(xi_rows, dx))
+        _require_finite_term("ito term xi . dX", at_points[1:], pts, n)
         values[row] = np.interp(x.times, pts, at_points)
         values[row, idx] = at_points
         interp[row] = True
@@ -237,7 +241,8 @@ def _sampled(F: Functional, slot: str, x: SampledPath, a: BVPath | None, rows=No
 def _horizontal_path(F: Functional, x: SampledPath, a: BVPath | None, weights=1.0) -> np.ndarray:
     """Cumulative sum_i integral of D_i F (times weights) dA_i, the clock dA_0 included."""
     clock = measures_with_clock(a if a is not None else BVPath.empty(x.times))
-    return cumulative_stieltjes(_sampled(F, "horizontal", x, a) * weights, clock)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return cumulative_stieltjes(_sampled(F, "horizontal", x, a) * weights, clock)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +260,6 @@ class FormulaReport:
     horizontal_at_T: float
     qv_at_T: np.ndarray
     residuals: np.ndarray
-    integral: IntegralResult
 
 
 def ito_formula_report(
@@ -270,22 +274,26 @@ def ito_formula_report(
 
     Each level's QV is formed once, for its QV term; whether [X] settles
     across levels is :func:`~pathwise_ito.qv.qv_converged`'s question.
-    A non-finite term raises DomainError naming the term and the level.
+    A non-finite term raises DomainError naming the term, the level and
+    the first grid time at which its running path is non-finite.
     """
     lv = _level_list(partition, levels)
     T = float(x.times[-1])
-    lhs = F.evaluate(T, x, a) - F.evaluate(0.0, x, a)
+    F_T, F_0 = F.evaluate(T, x, a), F.evaluate(0.0, x, a)
+    lhs = F_T - F_0
     integral = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv, tol)
     ito_at_T = integral.values[:, -1].copy()
     horiz = _horizontal_path(F, x, a)
     v2 = _sampled(F, "vertical2", x, a).reshape(x.n_points, -1)
     qv_at_T = np.empty(len(lv))
     for row, n in enumerate(lv):
-        qv_at_T[row] = 0.5 * cumulative_stieltjes(v2, qv_measures(x, partition, n))[-1]
-        terms = {"lhs": lhs, "ito": ito_at_T[row], "horizontal": horiz[-1], "qv": qv_at_T[row]}
-        for name, value in terms.items():
-            if not np.isfinite(value):
-                raise DomainError(f"non-finite {name} term ({value}) at level {n}")
+        with np.errstate(invalid="ignore", over="ignore"):
+            qv = 0.5 * cumulative_stieltjes(v2, qv_measures(x, partition, n))
+        # F(t) - F(0) turns non-finite at 0 if F(0) is, else at T
+        _require_finite_term("lhs term F(T) - F(0)", np.array([F_0, lhs]), x.times[[0, -1]], n)
+        _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, n)
+        _require_finite_term("qv term 1/2 D2F : d[X]", qv, x.times, n)
+        qv_at_T[row] = qv[-1]
     residuals = lhs - (ito_at_T + horiz[-1] + qv_at_T)
     for arr in (ito_at_T, qv_at_T, residuals):
         arr.setflags(write=False)
@@ -296,7 +304,6 @@ def ito_formula_report(
         horizontal_at_T=float(horiz[-1]),
         qv_at_T=qv_at_T,
         residuals=residuals,
-        integral=integral,
     )
 
 
@@ -450,7 +457,8 @@ def augment(
     The new component for each functional accumulates its horizontal
     Stieltjes terms and half the second-vertical QV terms at the given
     level; subtracting it and the frozen time-zero value leaves exactly
-    the integral part, so the recentered functional represents Y.
+    the integral part, so the recentered functional represents Y.  A
+    non-finite compensator raises DomainError naming it, level and time.
     """
     f_vec = list(f_vec)
     if not f_vec:
@@ -465,7 +473,9 @@ def augment(
     cols = np.empty((x.n_points, len(f_vec)))
     for ell, F in enumerate(f_vec):
         v2 = _sampled(F, "vertical2", x, a).reshape(x.n_points, -1)
-        cols[:, ell] = _horizontal_path(F, x, a) + 0.5 * cumulative_stieltjes(v2, qvm)
+        with np.errstate(invalid="ignore", over="ignore"):
+            cols[:, ell] = _horizontal_path(F, x, a) + 0.5 * cumulative_stieltjes(v2, qvm)
+        _require_finite_term(f"compensator a{m + ell + 1} of {F.name}", cols[:, ell], x.times, level)
     base = a if a is not None else BVPath.empty(x.times)
     a_tilde = concat_components(base, BVPath(x.times, cols))
     constants = np.array([F.evaluate(0.0, x, a) for F in f_vec])
@@ -626,7 +636,8 @@ def corollary_decomposition(
     adds eta-weighted horizontal and second-vertical QV corrections, the
     latter with the level's own measures.  The same quadratic-variation
     hypothesis as in the associativity check gates the comparison, with Y
-    evaluated directly rather than built from integrals.
+    evaluated directly rather than built from integrals.  A non-finite term
+    raises DomainError as in :func:`ito_formula_report`.
     """
     f_vec = list(f_vec)
     lv = _level_list(partition, levels)
@@ -639,8 +650,9 @@ def corollary_decomposition(
     _qv_gate(qv_relative, qv_gate_tol, "hypothesis for Y = F(., X, A)")
     eta_samples = _sampled(eta.functional, "vertical", y, eta.bv)
     horiz = np.zeros(x.n_points)
-    for ell, F in enumerate(f_vec):
-        horiz += _horizontal_path(F, x, a, weights=eta_samples[:, ell, None])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for ell, F in enumerate(f_vec):
+            horiz += _horizontal_path(F, x, a, weights=eta_samples[:, ell, None])
     H = compose(eta.functional, f_vec)
     zeta = AdmissibleIntegrand(
         H, concat_components(a if a is not None else BVPath.empty(x.times), eta.bv)
@@ -654,10 +666,13 @@ def corollary_decomposition(
     ]
     for row, n in enumerate(lv):
         qvm = qv_measures(x, partition, n)
-        total = 0.0
-        for weighted in v2:
-            total += 0.5 * cumulative_stieltjes(weighted, qvm)[-1]
-        qv_T[row] = total
+        qv = np.zeros(x.n_points)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for weighted in v2:
+                qv += 0.5 * cumulative_stieltjes(weighted, qvm)
+        _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, n)
+        _require_finite_term("qv term 1/2 D2F : d[X]", qv, x.times, n)
+        qv_T[row] = qv[-1]
     residuals = np.abs(lhs_T - (ito_T + horiz[-1] + qv_T))
     ratios = _residual_ratios(residuals)
     for arr in (lhs_T, ito_T, qv_T, residuals, ratios):

@@ -7,6 +7,10 @@ point, ``STEP``) or as the continuous piecewise-linear interpolant of its
 samples (``LINEAR``).  Containers are immutable; operations return new
 objects and never touch shared state.
 
+Every time lookup follows one rule (``_grid_position``): a time within
+1e-12 * max(1, T) of a grid time *is* that grid time, and any other time in
+[0, T] lies in the cell of the last grid time below it.
+
 The partition machinery thins the base grid dyadically: level ``n`` of an
 ``L``-level sequence keeps every ``2**(L-n)``-th grid point plus the final
 one, so levels are nested and the finest level is the grid itself.
@@ -90,26 +94,34 @@ def _check_domain(values: np.ndarray, domain: Box | None) -> None:
         raise DomainError(f"path value at grid index {idx} lies outside the domain")
 
 
-def _grid_match(times: np.ndarray, t: float) -> int | None:
-    """Index of the grid time within 1e-12 * max(1, T) of t, or None.
+def _grid_position(times: np.ndarray, t: float) -> tuple[int, bool]:
+    """(i, on_grid) for t, from one search: the rule behind every time lookup.
 
-    The one tolerance lookup behind every "is t a grid time" question;
-    among several matches the lowest index wins.
+    A t within 1e-12 * max(1, T) of a grid time is that grid time (the
+    lowest such i, on_grid True); any other t in [0, T] gives the last grid
+    time below it (on_grid False).  Outside [0, T] by more raises GridError.
     """
-    tol = _GRID_RTOL * max(1.0, abs(float(times[-1])))
-    i = int(np.searchsorted(times, t - tol))
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < times.shape[0] and abs(times[j] - t) <= tol:
-            return j
-    return None
+    n = times.shape[0]
+    T = times.item(-1)
+    tol = _GRID_RTOL * (T if T > 1.0 else 1.0)
+    i = int(times.searchsorted(t - tol))
+    if i and t - times.item(i - 1) <= tol:  # t - tol rounded up past a match
+        i -= 1
+    elif i < n and t - times.item(i) > tol:  # t - tol rounded down below a miss
+        i += 1
+    if i < n and abs(times.item(i) - t) <= tol:
+        return i, True
+    if i == 0 or i == n:
+        raise GridError(f"time {t} outside [0, {T}]")
+    return i - 1, False
 
 
 def _grid_index(times: np.ndarray, t: float) -> int:
-    """Like :func:`_grid_match`, but a time off the grid raises GridError."""
-    j = _grid_match(times, t)
-    if j is None:
+    """Index of grid time t (see :func:`_grid_position`); off the grid raises GridError."""
+    i, on_grid = _grid_position(times, t)
+    if not on_grid:
         raise GridError(f"time {t} is not a grid point")
-    return j
+    return i
 
 
 def _validate_grid(times: np.ndarray) -> np.ndarray:
@@ -209,23 +221,11 @@ class SampledPath:
     def n_points(self) -> int:
         return self.times.shape[0]
 
-    def _locate(self, t: float) -> int:
-        """Index of the largest grid time <= t."""
-        T = self.times[-1]
-        if t < 0.0 or t > T:
-            if t < 0.0 and t > -_GRID_RTOL * max(1.0, T):
-                return 0
-            if t > T and t < T * (1.0 + _GRID_RTOL) + _GRID_RTOL:
-                return self.n_points - 1
-            raise GridError(f"time {t} outside [0, {T}]")
-        i = int(self.times.searchsorted(t, side="right")) - 1
-        return min(max(i, 0), self.n_points - 1)
-
     def value(self, t: float) -> np.ndarray:
         """Path value at any t in [0, T] under the interpolation tag."""
         t = float(t)
-        i = self._locate(t)
-        if self.interpolation == STEP or t == self.times[i] or i == self.n_points - 1:
+        i, on_grid = _grid_position(self.times, t)
+        if on_grid or self.interpolation == STEP:
             return self._row(i)
         t0, t1 = self.times[i], self.times[i + 1]
         w = (t - t0) / (t1 - t0)
@@ -234,14 +234,14 @@ class SampledPath:
         return v0 + w * (v1 - v0)
 
     def left_limit(self, t: float) -> np.ndarray:
-        """Limit from the left at t > 0 (equals value(t) for LINEAR paths)."""
-        t = float(t)
-        if t <= 0.0:
+        """Limit from the left at t > 0: value(t) for a LINEAR path; for a STEP
+        path the row before grid time t, or the row of t's cell."""
+        i, on_grid = _grid_position(self.times, float(t))
+        if on_grid and i == 0:
             raise GridError("left limits need t > 0")
         if self.interpolation == LINEAR:
             return self.value(t)
-        i = int(self.times.searchsorted(t, side="left")) - 1
-        return self._row(min(max(i, 0), self.n_points - 1))
+        return self._row(i - 1 if on_grid else i)
 
     def grid_index(self, t: float) -> int:
         """Index of grid time t; raises GridError if t is not on the grid."""
@@ -350,7 +350,10 @@ class PartitionSequence:
         return self.indices(level).shape[0] - 1
 
     def contains(self, level: int, t: float) -> bool:
-        return _grid_match(self.points(level), t) is not None
+        try:
+            return _grid_position(self.points(level), t)[1]
+        except GridError:
+            return False
 
 
 def default_num_levels(n_points: int) -> int:
@@ -410,19 +413,15 @@ def _bumped(path: SampledPath, j: int, i: int, h: float, domain: Box | None) -> 
 def stop(path: SampledPath, t: float) -> SampledPath:
     """Freeze the path at time t: unchanged on [0, t], constant after.
 
-    The result lives on the same grid.  For a LINEAR path and a t between
-    grid points the frozen value is the interpolated one; the kink at t then
-    sits inside a grid cell, so the returned samples are exact but linear
-    interpolation across that one cell smooths the kink.  At grid times the
-    operation is exact everywhere (and idempotent).  The frozen value is
-    interpolated from the samples even where ``path.value`` is computed
-    otherwise (a composed path).
+    The result lives on the same grid.  At a grid time (within the grid
+    tolerance, see :func:`_grid_position`) the operation is exact everywhere
+    and idempotent.  Between grid points a LINEAR path freezes at the value
+    interpolated from the samples (even where ``path.value`` is computed
+    otherwise, as for a composed path); the kink then sits inside a grid
+    cell, which linear interpolation smooths.  Outside [0, T]: GridError.
     """
-    T = path.horizon
-    if t < 0.0 or t > T * (1.0 + _GRID_RTOL) + _GRID_RTOL:
-        raise DomainError(f"stopping time {t} outside [0, {T}]")
-    cut = int(np.searchsorted(path.times, t, side="right"))
-    return _frozen_from(path, cut, SampledPath.value(path, t))
+    i, on_grid = _grid_position(path.times, float(t))
+    return _frozen_from(path, i + 1, path._row(i) if on_grid else SampledPath.value(path, t))
 
 
 def _stepped(path: SampledPath, partition: PartitionSequence, level: int) -> SampledPath:

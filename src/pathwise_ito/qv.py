@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import DomainError, PartitionSequence, SampledPath, _require_same_grid
+from .paths import DomainError, PartitionSequence, SampledPath, _grid_position, _require_same_grid
 from .stieltjes import StieltjesMeasure
 
 
@@ -256,8 +256,8 @@ class QVMatrix:
         return self.entries[_entry_rows(self.d), -1]
 
     def value(self, t: float) -> np.ndarray:
-        i = int(self.times.searchsorted(t, side="right")) - 1
-        return self.matrices[min(max(i, 0), self.times.shape[0] - 1)]
+        """The matrix at grid time t, or at the last grid time below t."""
+        return self.matrices[_grid_position(self.times, float(t))[0]]
 
 
 def qv_matrix(

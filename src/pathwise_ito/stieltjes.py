@@ -49,30 +49,15 @@ class StieltjesMeasure:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "increments", inc)
 
-    @classmethod
-    def clock(cls, times: np.ndarray) -> "StieltjesMeasure":
-        """The measure dt of the running clock A_0(t) = t."""
-        times = np.asarray(times, dtype=np.float64)
-        return cls(times, np.diff(times))
-
-    @classmethod
-    def from_samples(cls, times: np.ndarray, values: np.ndarray) -> "StieltjesMeasure":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(times, np.diff(values))
-
     def cumulative(self) -> np.ndarray:
         """A(t) - A(0) on the grid (one row per component), from the increments."""
         return running_sum(self.increments)
 
-    def total_variation(self) -> float:
-        """Summed over the rows for an R^r-valued measure."""
-        return float(np.sum(np.abs(self.increments)))
-
 
 def total_variation(a: BVPath | SampledPath | StieltjesMeasure, i: int = 0) -> float:
-    """Total variation of one component over the full grid."""
+    """Total variation of component i over the full grid (every row, for a measure)."""
     if isinstance(a, StieltjesMeasure):
-        return a.total_variation()
+        return float(np.sum(np.abs(a.increments)))
     return float(np.sum(np.abs(np.diff(a.values[:, i]))))
 
 

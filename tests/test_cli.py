@@ -463,14 +463,63 @@ def test_non_finite_term_exits_one(command, tmp_path, capsys):
     assert not out.exists()
 
 
+# |x|^1.5 on a Brownian path from 0: its second derivative is infinite at 0,
+# so the qv term is non-finite from the first grid cell on
+ABS_POWER = {"f": "abs(x1)**1.5", "grad": ["1.5*sqrt(abs(x1))"], "dt": "0"}
+FIRST_CELL = 1.0 / 255.0  # the second grid time at base_points 256
+QV_TERM = "non-finite qv term 1/2 D2F : d[X] at level 4"
+ASSOC_REPRO = {
+    "path": {"generator": {"kind": "brownian", "base_points": 256, "d": 2, "seed": 11}},
+    "outer": {"cylinder": {"f": "x1*x2", "grad": ["x2", "x1"],
+                           "hess": [["0", "1"], ["1", "0"]], "dt": "0"}},
+    "integrands": [
+        # the first compensator holds the infinite qv term of |x1|^1.5
+        {"cylinder": {"f": "abs(x1)**1.5", "grad": ["1.5*sqrt(abs(x1))", "0"],
+                      "hess": [["0.75/sqrt(abs(x1))", "0"], ["0", "0"]], "dt": "0"}},
+        {"cylinder": {"f": "x2**2", "grad": ["0", "2*x2"],
+                      "hess": [["0", "0"], ["0", "2"]], "dt": "0"}},
+    ],
+    "levels": [4, 6, 8],
+}
+NON_FINITE_CASES = [  # (command, config, the one stderr line without "error: ")
+    (
+        "ito-check",
+        _brownian_config(LOG_REPRO, base_points=256),
+        "non-finite ito term xi . dX at level 4, grid time 0.0",
+    ),
+    (
+        "ito-check",
+        _brownian_config(
+            {"functional": {"cylinder": dict(ABS_POWER, hess=[["0.75/sqrt(abs(x1))"]])},
+             "levels": [4, 6, 8]},
+            base_points=256, seed=11,
+        ),
+        f"{QV_TERM}, grid time {FIRST_CELL!r}",
+    ),
+    (
+        # +inf and -inf terms meet in the running sum: no numpy warning either
+        "ito-check",
+        _brownian_config(
+            {"functional": {"cylinder": dict(ABS_POWER, hess=[["1/(t-t)"]])},
+             "levels": [4, 6, 8]},
+            base_points=256, seed=11,
+        ),
+        f"{QV_TERM}, grid time {FIRST_CELL!r}",
+    ),
+    (
+        "assoc-check",
+        ASSOC_REPRO,
+        f"non-finite compensator a1 of abs(x1)**1.5 at level 8, grid time {FIRST_CELL!r}",
+    ),
+]
+
+
 def test_non_finite_term_prints_only_the_error_line(tmp_path):
-    # Formulas run under np.errstate, so no RuntimeWarning (with a line of
-    # generated formula source) precedes the error in a real process.
-    doc = _brownian_config(LOG_REPRO, base_points=256)
-    proc = _subprocess_cli(["ito-check", "-c", _write_config(tmp_path, doc)])
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr == "error: non-finite ito term xi . dX at level 4, grid time 0.0\n"
+    # Formulas and term sums run under np.errstate, so no RuntimeWarning (with
+    # a line of source) precedes the error in a real process.
+    for command, doc, message in NON_FINITE_CASES:
+        proc = _subprocess_cli([command, "-c", _write_config(tmp_path, doc)])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

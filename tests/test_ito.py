@@ -1,6 +1,7 @@
 """Pathwise integrals, change-of-variables reports, and associativity checks."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_integral_against_stieltjes_on_monotone_path():
     x = SampledPath(times, vals)
     part = PartitionSequence(times, num_levels=10)
     res = ito_integral(_two_x(), x, part, levels=(6, 7, 8, 9, 10))
-    mu = StieltjesMeasure.from_samples(times, vals)
+    mu = StieltjesMeasure(times, np.diff(vals))
     oracle = cumulative_stieltjes(2.0 * vals, mu)
     errs = [float(np.max(np.abs(res.values[r] - oracle))) for r in range(5)]
     for coarse, fine in zip(errs, errs[1:]):
@@ -579,6 +580,24 @@ def test_corollary_log_change_of_variables():
     assert errs[-1] < 1e-3
     # the correction term really is negative: d[X] weighs in with -1/(2 X^2)
     assert np.all(rep.qv_at_T < 0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_corollary_rejects_a_non_finite_term():
+    x, part = _brownian(exponent=8)
+    # Y = X passes the qv gate exactly; only the second vertical is infinite
+    inf_hess = cylinder(
+        lambda t, xv, av: xv[0],
+        d=1,
+        grad=lambda t, xv, av: np.array([1.0]),
+        hess=lambda t, xv, av: np.array([[np.inf]]),
+        dt=lambda t, xv, av: 0.0,
+        name="inf-hess",
+    )
+    eta = AdmissibleIntegrand(coordinate(0))
+    message = f"non-finite qv term 1/2 D2F : d[X] at level 6, grid time {float(x.times[1])!r}"
+    with pytest.raises(DomainError, match=re.escape(message) + "$"):
+        corollary_decomposition(eta, [inf_hess], x, None, part, levels=(6, 8))
 
 
 def test_corollary_square_converges_fast():

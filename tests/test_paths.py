@@ -30,6 +30,7 @@ from pathwise_ito.paths import (
     sup_distance,
     write_path_csv,
 )
+from pathwise_ito.qv import QVMatrix
 from pathwise_ito.stieltjes import StieltjesMeasure, stieltjes_integral
 
 
@@ -167,6 +168,67 @@ def test_grid_lookups_agree_with_brute_force(case):
         assert part.contains(level, t) == bool(np.any(np.abs(pts - t) <= tol))
 
 
+def _brute_position(times, t, tol):
+    """(i, on_grid) by the grid rule, or None for a time outside [0, T]."""
+    hits = np.flatnonzero(np.abs(times - t) <= tol)
+    if hits.shape[0]:
+        return int(hits[0]), True
+    if t < 0.0 or t > times[-1]:
+        return None
+    return int(np.flatnonzero(times < t)[-1]), False
+
+
+@settings(max_examples=300)
+@given(_grid_and_time())
+def test_every_time_lookup_follows_the_grid_rule(case):
+    # Row k of each path holds k, so a returned row names its grid index.
+    times, t, tol = case
+    n = times.shape[0]
+    rows = np.arange(n, dtype=np.float64)
+    linear = SampledPath(times, rows)
+    step = SampledPath(times, rows, STEP)
+    qvm = QVMatrix(times=times, entries=rows[None, :], level=1)
+    part = PartitionSequence(times, num_levels=2)
+    lookups = (
+        linear.value, linear.left_limit, step.value, step.left_limit,
+        lambda t: stop(linear, t), qvm.value, linear.grid_index,
+    )
+    expect = _brute_position(times, t, tol)
+    if expect is None:
+        for lookup in lookups:
+            with pytest.raises(GridError):
+                lookup(t)
+        for level in (1, 2):
+            assert not part.contains(level, t)
+        return
+    i, on_grid = expect
+    if on_grid:
+        at_t = float(i)
+    else:
+        at_t = float(i) + (t - times[i]) / (times[i + 1] - times[i]) * 1.0
+    assert float(linear.value(t)[0]) == at_t
+    assert float(step.value(t)[0]) == float(i)
+    assert float(qvm.value(t)[0, 0]) == float(i)
+    stopped = stop(linear, t)
+    assert np.array_equal(stopped.values[: i + 1, 0], rows[: i + 1])
+    assert np.all(stopped.values[i + 1 :, 0] == at_t)
+    if on_grid and i == 0:
+        for lookup in (linear.left_limit, step.left_limit):
+            with pytest.raises(GridError):
+                lookup(t)
+    else:
+        assert float(linear.left_limit(t)[0]) == at_t
+        assert float(step.left_limit(t)[0]) == float(i - 1 if on_grid else i)
+    if on_grid:
+        assert linear.grid_index(t) == i
+    else:
+        with pytest.raises(GridError):
+            linear.grid_index(t)
+    for level in (1, 2):
+        pts = part.points(level)
+        assert part.contains(level, t) == bool(np.any(np.abs(pts - t) <= tol))
+
+
 def test_box_domain_is_strictly_open():
     dom = Box(lower=(0.0,), upper=(1.0,))
     with pytest.raises(DomainError):
@@ -199,9 +261,9 @@ def test_stop_freezes_the_tail():
     mid = stop(p, 0.375)  # between grid points: freeze at interpolated value
     assert np.allclose(mid.values[2:, 0], 1.5)
     assert s.interpolation == p.interpolation
-    with pytest.raises(DomainError):
+    with pytest.raises(GridError):
         stop(p, 1.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(GridError):
         stop(p, -0.1)
 
 
