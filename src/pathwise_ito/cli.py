@@ -177,7 +177,7 @@ def _cmd_ito_check(args) -> int:
         raise ValueError("ito-check needs a 'functional' entry in the config")
     m = 0 if a is None else a.m
     F = build_functional(config.functional, x.d, m)
-    rep = ito_formula_report(F, x, a, part, levels=config.levels, tol=config.tolerance)
+    rep = ito_formula_report(F, x, a, part, levels=config.levels)
     terms = (rep.levels, rep.lhs, rep.ito_at_T, rep.horizontal_at_T, rep.qv_at_T)
     table = np.column_stack(np.broadcast_arrays(*terms, rep.residuals))
     header = ["level", "term_lhs", "term_ito", "term_horiz", "term_qv", "residual"]

@@ -22,6 +22,10 @@ reports are bit-reproducible from run to run.  A NaN or infinite term is
 never reported: it raises DomainError naming the term, the level and the
 first grid time at which the term's running path is non-finite.
 
+The compensator, integral DF . d(t, A) + 1/2 D2F : d[X]_n, is formed in one
+place, ``_compensator``, for the formula report, ``augment`` and the
+corollary; each caller checks its own terms.
+
 Cost.  Each slot's route, and so its cost a level, is the rule in the
 ``functionals`` module docstring.
 """
@@ -35,7 +39,6 @@ import numpy as np
 from .functionals import Functional, _combined, _state_slot, bv_coordinate, compose
 from .paths import (
     BVPath,
-    DomainError,
     HypothesisError,
     LINEAR,
     PartitionSequence,
@@ -46,7 +49,7 @@ from .paths import (
     _stepped,
     concat_components,
 )
-from .qv import qv_matrix, qv_measures
+from .qv import _require_finite_term, qv_matrix, qv_measures
 from .reduction import map_chunked, ordered_dot, running_sum
 from .stieltjes import cumulative_stieltjes, measures_with_clock
 
@@ -87,13 +90,6 @@ def _level_list(partition: PartitionSequence, levels) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(out, out[1:])):
         raise ValueError("levels must be strictly increasing")
     return out
-
-
-def _require_finite_term(name: str, path: np.ndarray, times: np.ndarray, level: int) -> None:
-    """DomainError naming the first grid time at which a term's running path is non-finite."""
-    bad = np.flatnonzero(~np.isfinite(path))
-    if bad.shape[0]:
-        raise DomainError(f"non-finite {name} at level {level}, grid time {float(times[bad[0]])}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,11 +234,23 @@ def _sampled(F: Functional, slot: str, x: SampledPath, a: BVPath | None, rows=No
     return out
 
 
-def _horizontal_path(F: Functional, x: SampledPath, a: BVPath | None, weights=1.0) -> np.ndarray:
-    """Cumulative sum_i integral of D_i F (times weights) dA_i, the clock dA_0 included."""
+def _compensator(fs, x: SampledPath, a: BVPath | None, partition, levels, weights=None):
+    """Unchecked running paths (horiz, qv): horiz[l] of integral w DF_l . d(t, A) and
+    qv[k, l] of 1/2 integral w D2F_l : d[X]_n at n = levels[k]; w = weights[:, l] or 1."""
+    def term(F, slot, l):  # F's slot at every grid time, one row each, weighted
+        out = _sampled(F, slot, x, a).reshape(x.n_points, -1)
+        return out if weights is None else out * weights[:, l, None]
+
     clock = measures_with_clock(a if a is not None else BVPath.empty(x.times))
     with np.errstate(invalid="ignore", over="ignore"):
-        return cumulative_stieltjes(_sampled(F, "horizontal", x, a) * weights, clock)
+        horiz = [cumulative_stieltjes(term(F, "horizontal", l), clock) for l, F in enumerate(fs)]
+        v2 = [term(F, "vertical2", l) for l, F in enumerate(fs)]
+        qv = np.empty((len(levels), len(fs), x.n_points))  # before any measure: peak RSS
+        for k, n in enumerate(levels):
+            qvm = qv_measures(x, partition, n)
+            qv[k] = [0.5 * cumulative_stieltjes(v, qvm) for v in v2]
+            del qvm  # before the next level's measure is formed
+    return horiz, qv
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,7 +276,6 @@ def ito_formula_report(
     a: BVPath | None,
     partition: PartitionSequence,
     levels: Sequence[int] | int | None = None,
-    tol: float = 1e-3,
 ) -> FormulaReport:
     """Evaluate all four terms of the decomposition and their residuals.
 
@@ -278,22 +285,16 @@ def ito_formula_report(
     the first grid time at which its running path is non-finite.
     """
     lv = _level_list(partition, levels)
-    T = float(x.times[-1])
-    F_T, F_0 = F.evaluate(T, x, a), F.evaluate(0.0, x, a)
+    F_T, F_0 = F.evaluate(x.horizon, x, a), F.evaluate(0.0, x, a)
     lhs = F_T - F_0
-    integral = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv, tol)
-    ito_at_T = integral.values[:, -1].copy()
-    horiz = _horizontal_path(F, x, a)
-    v2 = _sampled(F, "vertical2", x, a).reshape(x.n_points, -1)
-    qv_at_T = np.empty(len(lv))
-    for row, n in enumerate(lv):
-        with np.errstate(invalid="ignore", over="ignore"):
-            qv = 0.5 * cumulative_stieltjes(v2, qv_measures(x, partition, n))
-        # F(t) - F(0) turns non-finite at 0 if F(0) is, else at T
-        _require_finite_term("lhs term F(T) - F(0)", np.array([F_0, lhs]), x.times[[0, -1]], n)
-        _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, n)
+    ito_at_T = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv).values[:, -1].copy()
+    (horiz,), qvs = _compensator([F], x, a, partition, lv)
+    # F(t) - F(0) turns non-finite at 0 if F(0) is, else at T
+    _require_finite_term("lhs term F(T) - F(0)", np.array([F_0, lhs]), x.times[[0, -1]], lv[0])
+    _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, lv[0])
+    for n, (qv,) in zip(lv, qvs):
         _require_finite_term("qv term 1/2 D2F : d[X]", qv, x.times, n)
-        qv_at_T[row] = qv[-1]
+    qv_at_T = qvs[:, 0, -1].copy()
     residuals = lhs - (ito_at_T + horiz[-1] + qv_at_T)
     for arr in (ito_at_T, qv_at_T, residuals):
         arr.setflags(write=False)
@@ -469,12 +470,10 @@ def augment(
     got = 0 if a is None else a.m
     if got != m:
         raise ValueError(f"component path carries {got} columns, functionals want {m}")
-    qvm = qv_measures(x, partition, level)
-    cols = np.empty((x.n_points, len(f_vec)))
+    horiz, (qv,) = _compensator(f_vec, x, a, partition, [level])
+    with np.errstate(invalid="ignore", over="ignore"):
+        cols = np.column_stack([h + q for h, q in zip(horiz, qv)])
     for ell, F in enumerate(f_vec):
-        v2 = _sampled(F, "vertical2", x, a).reshape(x.n_points, -1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            cols[:, ell] = _horizontal_path(F, x, a) + 0.5 * cumulative_stieltjes(v2, qvm)
         _require_finite_term(f"compensator a{m + ell + 1} of {F.name}", cols[:, ell], x.times, level)
     base = a if a is not None else BVPath.empty(x.times)
     a_tilde = concat_components(base, BVPath(x.times, cols))
@@ -627,7 +626,6 @@ def corollary_decomposition(
     a: BVPath | None,
     partition: PartitionSequence,
     levels: Sequence[int] | int | None = None,
-    tol: float = 1e-3,
     qv_gate_tol: float = 5e-2,
 ) -> CorollaryReport:
     """Integral of eta against Y(t) = F(t, X, A) via terms in X.
@@ -641,38 +639,25 @@ def corollary_decomposition(
     """
     f_vec = list(f_vec)
     lv = _level_list(partition, levels)
-    finest = lv[-1]
     if eta.functional.d != len(f_vec):
         raise ValueError("eta must drive exactly one component per functional")
     y = SampledPath(x.times, np.column_stack([_sampled(F, "evaluate", x, a) for F in f_vec]), LINEAR)
     sam = np.stack([_sampled(F, "vertical", x, a) for F in f_vec])
-    qv_relative = _qv_identity(y, sam, x, partition, finest).relative
+    qv_relative = _qv_identity(y, sam, x, partition, lv[-1]).relative
     _qv_gate(qv_relative, qv_gate_tol, "hypothesis for Y = F(., X, A)")
     eta_samples = _sampled(eta.functional, "vertical", y, eta.bv)
-    horiz = np.zeros(x.n_points)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for ell, F in enumerate(f_vec):
-            horiz += _horizontal_path(F, x, a, weights=eta_samples[:, ell, None])
-    H = compose(eta.functional, f_vec)
-    zeta = AdmissibleIntegrand(
-        H, concat_components(a if a is not None else BVPath.empty(x.times), eta.bv)
-    )
-    lhs_T = ito_integral(eta, y, partition, lv, tol).values[:, -1].copy()
-    ito_T = ito_integral(zeta, x, partition, lv, tol).values[:, -1].copy()
-    qv_T = np.empty(len(lv))
-    v2 = [
-        _sampled(F, "vertical2", x, a).reshape(x.n_points, -1) * eta_samples[:, ell, None]
-        for ell, F in enumerate(f_vec)
-    ]
-    for row, n in enumerate(lv):
-        qvm = qv_measures(x, partition, n)
-        qv = np.zeros(x.n_points)
-        with np.errstate(invalid="ignore", over="ignore"):
-            for weighted in v2:
-                qv += 0.5 * cumulative_stieltjes(weighted, qvm)
-        _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, n)
+    base = a if a is not None else BVPath.empty(x.times)
+    zeta = AdmissibleIntegrand(compose(eta.functional, f_vec), concat_components(base, eta.bv))
+    lhs_T = ito_integral(eta, y, partition, lv).values[:, -1].copy()
+    ito_T = ito_integral(zeta, x, partition, lv).values[:, -1].copy()
+    horizs, qvs = _compensator(f_vec, x, a, partition, lv, eta_samples)
+    with np.errstate(invalid="ignore", over="ignore"):  # summed in functional order onto +0.0
+        horiz = sum(horizs, np.zeros(x.n_points))
+        qvs = [sum(qv, np.zeros(x.n_points)) for qv in qvs]
+    _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, lv[0])
+    for n, qv in zip(lv, qvs):
         _require_finite_term("qv term 1/2 D2F : d[X]", qv, x.times, n)
-        qv_T[row] = qv[-1]
+    qv_T = np.array([qv[-1] for qv in qvs])
     residuals = np.abs(lhs_T - (ito_T + horiz[-1] + qv_T))
     ratios = _residual_ratios(residuals)
     for arr in (lhs_T, ito_T, qv_T, residuals, ratios):

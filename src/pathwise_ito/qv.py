@@ -34,9 +34,9 @@ alternates two (k, N) buffers: the gap between two levels is computed in
 the older one, which then receives the next level.
 
 All reductions run in a fixed order (see reduction.py), so repeated runs
-produce bit-identical results.  A matrix whose sums overflow is never
-reported: qv_matrix and qv_converged raise DomainError naming the entry,
-the level and the grid time.
+produce bit-identical results.  A QV whose sums overflow is never
+reported: qv_scalar, qv_matrix and qv_converged raise DomainError naming
+the entry, the level and the grid time.
 """
 from __future__ import annotations
 
@@ -164,6 +164,13 @@ def _table_pairs(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i, d)]
 
 
+def _require_finite_term(name: str, path: np.ndarray, times: np.ndarray, level: int) -> None:
+    """DomainError naming the first grid time at which a term's running path is non-finite."""
+    bad = np.flatnonzero(~np.isfinite(path))
+    if bad.shape[0]:
+        raise DomainError(f"non-finite {name} at level {level}, grid time {float(times[bad[0]])}")
+
+
 def _require_finite(entries: np.ndarray, d: int, level: int, times: np.ndarray) -> None:
     """DomainError naming the non-finite entries at their first grid time."""
     ok = np.isfinite(entries)
@@ -208,8 +215,8 @@ def qv_scalar(
     _require_same_grid(x, partition)
     if not 0 <= component < x.d:
         raise ValueError(f"component must lie in [0, {x.d - 1}]")
-    path, _ = _qv_matrix_arrays(x.values[:, component][None, :], 1, partition, level)
-    path = path[0]
+    path = _qv_matrix_arrays(x.values[:, component][None, :], 1, partition, level)[0][0]
+    _require_finite_term(f"qv_{component + 1}{component + 1}", path, x.times, level)
     if t is None:
         return float(path[-1])
     return float(path[x.grid_index(t)])

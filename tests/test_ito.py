@@ -727,3 +727,25 @@ def test_qv_of_Y_report_keeps_its_bits(level, pins):
     rep = qv_of_Y_check([AdmissibleIntegrand(f, a) for f in fs], x, part, level)
     for name, pinned in pins.items():
         _assert_bits(getattr(rep, name), pinned)
+
+
+def test_report_augment_and_corollary_share_their_compensator_bits():
+    # (1 + a) x^2 + t a with a = the time average of x: a clock term, an A
+    # term and a QV term weighted by an A-dependent second derivative
+    x, part = _brownian(exponent=9)
+    a = time_average_path(x, 0)
+    F = cylinder(
+        lambda t, xv, av: (1.0 + av[0]) * xv[0] ** 2 + t * av[0], d=1, m=1,
+        grad=lambda t, xv, av: np.array([2.0 * (1.0 + av[0]) * xv[0]]),
+        hess=lambda t, xv, av: np.array([[2.0 * (1.0 + av[0])]]),
+        dt=lambda t, xv, av: av[0], da=lambda t, xv, av: np.array([xv[0] ** 2 + t]),
+        name="quadratic",
+    )
+    level = 9  # the grid's own level, where the corollary's QV gate holds
+    rep = ito_formula_report(F, x, a, part, level)
+    aug = augment([F], x, a, part, level)
+    assert aug.bv.values[-1, 1].hex() == (rep.horizontal_at_T + rep.qv_at_T[0]).hex()
+    # eta = y has the weight 1.0 everywhere, which keeps every bit
+    cor = corollary_decomposition(AdmissibleIntegrand(coordinate(0)), [F], x, a, part, level)
+    assert cor.horizontal_at_T.hex() == rep.horizontal_at_T.hex()
+    assert cor.qv_at_T[0].hex() == rep.qv_at_T[0].hex()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathwise_ito.paths import GridError, PartitionSequence, SampledPath
+from pathwise_ito.paths import DomainError, GridError, PartitionSequence, SampledPath
 from pathwise_ito.qv import qv_converged, qv_matrix, qv_measures, qv_scalar
 
 
@@ -164,6 +164,24 @@ def test_qv_scalar_component_must_be_a_column(component):
     with pytest.raises(ValueError, match=r"component must lie in \[0, 1\]"):
         qv_scalar(x, part, 2, component=component)
     assert qv_scalar(x, part, 2, component=1) == qv_matrix(x, part, 2).final()[1, 1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_qv_scalar_raises_on_overflow_like_qv_matrix():
+    # 1e200 squared overflows from grid time 0.5 on, at every level
+    times = _grid(9)
+    values = np.zeros((9, 2))
+    values[4] = 1e200
+    x = SampledPath(times, values)
+    part = PartitionSequence(times, num_levels=3)
+    with pytest.raises(DomainError, match=r"^non-finite qv_11, qv_12, qv_22 at level 3, grid time 0\.5$"):
+        qv_matrix(x, part, 3)
+    for component in (0, 1):
+        entry = f"qv_{component + 1}{component + 1}"
+        for level, t in ((3, None), (1, 0.25)):
+            message = rf"^non-finite {entry} at level {level}, grid time 0\.5$"
+            with pytest.raises(DomainError, match=message):
+                qv_scalar(x, part, level, t=t, component=component)
 
 
 def test_convergence_diagnostics_on_a_seeded_walk():
