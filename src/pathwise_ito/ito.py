@@ -237,6 +237,10 @@ def _sampled(F: Functional, slot: str, x: SampledPath, a: BVPath | None, rows=No
 def _compensator(fs, x: SampledPath, a: BVPath | None, partition, levels, weights=None):
     """Unchecked running paths (horiz, qv): horiz[l] of integral w DF_l . d(t, A) and
     qv[k, l] of 1/2 integral w D2F_l : d[X]_n at n = levels[k]; w = weights[:, l] or 1."""
+    _require_same_grid(x, partition)  # the grid and the levels before any slot is sampled
+    for n in levels:
+        partition._check_level(n)
+
     def term(F, slot, l):  # F's slot at every grid time, one row each, weighted
         out = _sampled(F, slot, x, a).reshape(x.n_points, -1)
         return out if weights is None else out * weights[:, l, None]
@@ -244,11 +248,14 @@ def _compensator(fs, x: SampledPath, a: BVPath | None, partition, levels, weight
     clock = measures_with_clock(a if a is not None else BVPath.empty(x.times))
     with np.errstate(invalid="ignore", over="ignore"):
         horiz = [cumulative_stieltjes(term(F, "horizontal", l), clock) for l, F in enumerate(fs)]
-        v2 = [term(F, "vertical2", l) for l, F in enumerate(fs)]
+        # several levels reuse every D2F; one level (augment) holds one at a time
+        v2 = [term(F, "vertical2", l) for l, F in enumerate(fs)] if len(levels) > 1 else None
         qv = np.empty((len(levels), len(fs), x.n_points))  # before any measure: peak RSS
         for k, n in enumerate(levels):
             qvm = qv_measures(x, partition, n)
-            qv[k] = [0.5 * cumulative_stieltjes(v, qvm) for v in v2]
+            for l, F in enumerate(fs):
+                v = term(F, "vertical2", l) if v2 is None else v2[l]
+                qv[k, l] = 0.5 * cumulative_stieltjes(v, qvm)
             del qvm  # before the next level's measure is formed
     return horiz, qv
 

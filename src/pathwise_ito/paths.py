@@ -33,6 +33,8 @@ STEP = "step"
 LINEAR = "linear"
 _INTERPOLATIONS = (STEP, LINEAR)
 
+_GRID_RTOL = 1e-12
+
 
 class DomainError(ValueError):
     """A path value lies outside its configured open domain."""
@@ -92,10 +94,6 @@ def _check_domain(values: np.ndarray, domain: Box | None) -> None:
         raise DomainError(f"path value at grid index {idx} lies outside the domain")
 
 
-def _grid_tol(times: np.ndarray) -> float:
-    return 1e-12 * max(1.0, times.item(-1))
-
-
 def _grid_position(times: np.ndarray, t: float) -> tuple[int, bool]:
     """(i, on_grid) for t, from one search: the rule behind every time lookup.
 
@@ -103,7 +101,9 @@ def _grid_position(times: np.ndarray, t: float) -> tuple[int, bool]:
     lowest such i, on_grid True); any other t in [0, T] gives the last grid
     time below it (on_grid False).  Outside [0, T] by more raises GridError.
     """
-    n, T, tol = times.shape[0], times.item(-1), _grid_tol(times)
+    n = times.shape[0]
+    T = times.item(-1)
+    tol = _GRID_RTOL * (T if T > 1.0 else 1.0)
     i = int(times.searchsorted(t - tol))
     if i and t - times.item(i - 1) <= tol:  # t - tol rounded up past a match
         i -= 1
@@ -351,16 +351,9 @@ class PartitionSequence:
 
     def contains(self, level: int, t: float) -> bool:
         try:
-            i, on_grid = _grid_position(self.times, t)
+            return _grid_position(self.points(level), t)[1]
         except GridError:
             return False
-        k, n, tol = self.stride(level), self.times.shape[0], _grid_tol(self.times)
-        # t matches every grid time closer than tol: is one a level point?
-        while on_grid and i < n and abs(self.times.item(i) - t) <= tol:
-            if i % k == 0 or i == n - 1:
-                return True
-            i += 1
-        return False
 
 
 def default_num_levels(n_points: int) -> int:
@@ -372,10 +365,10 @@ def default_num_levels(n_points: int) -> int:
 # Path operations
 
 
-def _view(path: SampledPath, row: Callable, build: Callable, interpolation=None) -> SampledPath:
+def _view(path: SampledPath, row: Callable, build: Callable) -> SampledPath:
     """A path like ``path`` whose row i is row(i) and whose values are build()."""
     return type(path)._make(
-        times=path.times, d=path.d, interpolation=interpolation or path.interpolation,
+        times=path.times, d=path.d, interpolation=path.interpolation,
         domain=path.domain, _row=row, _build=build,
     )
 
@@ -432,14 +425,14 @@ def stop(path: SampledPath, t: float) -> SampledPath:
 
 
 def _stepped(path: SampledPath, partition: PartitionSequence, level: int) -> SampledPath:
-    """STEP view of the level-n step path: row i is path row min((i // k + 1) k, N - 1)."""
     _require_same_grid(path, partition)
-    k, last, base_row = partition.stride(level), path.n_points - 1, path._row
-
-    def build():
-        return path.values[np.minimum(np.arange(last + 1) // k * k + k, last)]
-
-    return _view(path, lambda i: base_row(min((i // k + 1) * k, last)), build, STEP)
+    idx = partition.indices(level)
+    n = path.n_points
+    pos = np.searchsorted(idx, np.arange(n), side="right") - 1
+    succ = idx[np.minimum(pos + 1, idx.shape[0] - 1)]
+    vals = path.values[succ].copy()
+    vals[-1] = path.values[-1]
+    return type(path)._trusted(path.times, vals, STEP, path.domain)
 
 
 def stepped_approx(path: SampledPath, partition: PartitionSequence, level: int) -> SampledPath:

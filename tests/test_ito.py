@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -646,6 +647,52 @@ def test_augment_rejects_a_component_path_on_another_grid_before_any_call(
     with pytest.raises(GridError):
         augment([F], x, other, part, 8)
     assert calls == []
+
+
+@pytest.mark.parametrize("state_form", [True, False], ids=["cylinder", "general"])
+@pytest.mark.parametrize("bad", ["level", "grid"])
+def test_augment_checks_its_level_and_partition_before_any_call(state_form, bad):
+    x, part = _brownian(exponent=8)
+    calls = []
+
+    def counted(value):
+        return lambda t, xv, av: calls.append(1) or value(xv)
+
+    if state_form:
+        F = cylinder(counted(lambda xv: xv[0] ** 2), d=1, grad=counted(lambda xv: 2.0 * xv),
+                     hess=counted(lambda xv: np.full((1, 1), 2.0)), dt=counted(lambda xv: 0.0))
+    else:
+        F = Functional(counted(lambda xp: 0.0), d=1)
+    level, error = 9, ValueError
+    if bad == "grid":
+        part, level, error = PartitionSequence(x.times**2, num_levels=8), 8, GridError
+    with pytest.raises(error):
+        augment([F], x, None, part, level)
+    assert calls == []
+
+
+def test_augment_holds_one_second_vertical_at_a_time():
+    # d = 8, N = 2^10: each integrand's D2F samples are one (N, 64) array,
+    # 0.5 MB; the next is sampled before the last is dropped, so eight
+    # integrands may hold two of them at once, not eight
+    n, d = 2**10, 8
+    times = np.linspace(0.0, 1.0, n + 1)
+    z = np.random.default_rng(3).standard_normal((n, d)) * (1.0 / n) ** 0.5
+    x = SampledPath(times, np.vstack([np.zeros(d), np.cumsum(z, axis=0)]))
+    part = PartitionSequence(times, num_levels=10)
+    F = cylinder(lambda t, xv, av: xv @ xv, d=d, grad=lambda t, xv, av: 2.0 * xv,
+                 hess=lambda t, xv, av: 2.0 * np.eye(d), dt=lambda t, xv, av: 0.0)
+
+    def peak(nu):
+        tracemalloc.start()
+        try:
+            augment([F] * nu, x, None, part, 10)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_v2 = (n + 1) * d * d * 8
+    assert peak(8) - peak(1) < 2 * one_v2
 
 
 # ---------------------------------------------------------------------------

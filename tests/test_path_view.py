@@ -8,8 +8,6 @@ its copy, in ``values`` and in every ``value``, ``left_limit`` and
 ``grid_index`` answer, on the grid, off it and within its tolerance.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +27,6 @@ from pathwise_ito.paths import (
     SampledPath,
     _bumped,
     _check_domain,
-    _stepped,
     default_num_levels,
     pre_step,
     stop,
@@ -183,36 +180,6 @@ def test_pre_step_matches_the_copy_at_every_partition_point(data):
         for s in part.points(level):
             view = pre_step(path, part, level, float(s))
             assert_same_path(view, ref_pre_step(path, part, level, float(s)), probes)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.data())
-def test_step_path_matches_the_copy_at_every_level(data):
-    path = data.draw(paths())
-    levels = data.draw(st.integers(1, default_num_levels(path.n_points) + 1))
-    part = PartitionSequence(path.times, levels)
-    probes = _probe_times(path.times)
-    for level in range(1, levels + 1):
-        ref = _copy(path, ref_stepped_values(path, part, level), STEP)
-        assert_same_path(_stepped(path, part, level), ref, probes)
-
-
-def test_pre_step_builds_no_grid_array_until_values_are_read():
-    # one (N, d) float array here is 512 KiB; a partition check and a view
-    # take a few hundred bytes
-    x = generate(GeneratorSpec(kind="brownian", base_points=2**14, d=4, seed=5))
-    part = PartitionSequence(x.times, default_num_levels(x.n_points))
-    level, s = part.num_levels, float(x.times[2**13])
-    tracemalloc.start()
-    try:
-        view = pre_step(x, part, level, s)
-        view.value(0.25), view.left_limit(s), view.value(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < x.n_points * x.d * 8 // 16
-    assert "values" not in vars(view)
-    assert _bits(view.values) == _bits(ref_pre_step(x, part, level, s).values)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +337,7 @@ def test_per_cell_integral_builds_samples_only_when_read(reads_values, builds):
     part = PartitionSequence(x.times, default_num_levels(x.n_points))
     res = ito_integral(AdmissibleIntegrand(F), x, part)
     cells = sum(part.num_cells(n) for n in res.levels)
-    # a read builds each cell's pre-step view and, once a level, its step view
-    assert len(builds) == (cells + len(res.levels) if reads_values else 0)
+    assert len(builds) == (cells if reads_values else 0)
     for row, n in enumerate(res.levels):
         ref = _ref_integral_at_points(F, x, part, n)
         assert _bits(res.values[row, part.indices(n)]) == _bits(ref)
