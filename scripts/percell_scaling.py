@@ -70,7 +70,7 @@ def best_times(cases, repeat):
             start = time.process_time()
             res = ito_integral(AdmissibleIntegrand(F), x, part)
             secs = time.process_time() - start
-            cells = sum(part.num_cells(n) for n in res.levels)
+            cells = sum(part.indices(n).size - 1 for n in res.levels)
             best[name] = (min(best[name][0], secs), cells, float(res.final[-1]))
     return best
 

@@ -46,6 +46,7 @@ class CompiledExpression:
         # warning; callers check finiteness and name the failing term.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = np.asarray(self._fn(*args), dtype=np.float64)
+        out = np.where(np.isnan(out), np.nan, out)  # SIMD and scalar loops differ in NaN sign
         if out.shape != shape:
             out = np.broadcast_to(out, shape).copy()
         return out

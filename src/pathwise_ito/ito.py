@@ -49,7 +49,7 @@ from .paths import (
     _stepped,
     concat_components,
 )
-from .qv import _require_finite_term, qv_matrix, qv_measures
+from .qv import _entry_rows, _require_finite_term, qv_matrix, qv_measures
 from .reduction import map_chunked, ordered_dot, running_sum
 from .stieltjes import cumulative_stieltjes, measures_with_clock
 
@@ -358,26 +358,29 @@ def _xi_samples(xis: Sequence[AdmissibleIntegrand], x: SampledPath) -> np.ndarra
 def _weighted_qv_paths(
     sam: np.ndarray, x: SampledPath, partition: PartitionSequence, level: int
 ) -> np.ndarray:
-    """Paths t -> sum_kl integral of xi_(i),k xi_(j),l d[X_k, X_l] for all (i, j)."""
-    nu, n_pts, _ = sam.shape
+    """Packed rows of t -> sum_kl integral of xi_(i),k xi_(j),l d[X_k, X_l]: row
+    ``_entry_rows(nu)[i, j]`` for each pair i <= j, its weights in one (N, d, d) buffer."""
+    nu, n_pts, d = sam.shape
     qvm = qv_measures(x, partition, level)
-    out = np.zeros((n_pts, nu, nu))
+    rows = _entry_rows(nu)
+    out = np.empty((nu * (nu + 1) // 2, n_pts))
+    weights = np.empty((n_pts, d, d))
     for i in range(nu):
         for j in range(i, nu):
-            weights = sam[i, :, :, None] * sam[j, :, None, :]
-            acc = cumulative_stieltjes(weights.reshape(n_pts, -1), qvm)
-            out[:, i, j] = acc
-            out[:, j, i] = acc
+            np.multiply(sam[i, :, :, None], sam[j, :, None, :], out=weights)
+            out[rows[i, j]] = cumulative_stieltjes(weights.reshape(n_pts, -1), qvm)
     return out
 
 
 def _qv_identity(
     y: SampledPath, sam: np.ndarray, x: SampledPath, partition: PartitionSequence, level: int
 ) -> QvIdentityReport:
-    """Compare qv_matrix of a given Y against [X] integrals weighted by sam."""
+    """Compare qv_matrix of a given Y against [X] integrals weighted by sam, row by
+    packed row; ``_entry_rows`` maps each row's max over time to its (i, j) residual."""
     direct = qv_matrix(y, partition, level)
-    weighted = _weighted_qv_paths(sam, x, partition, level)
-    residuals = np.max(np.abs(direct.matrices - weighted), axis=0)
+    gap = _weighted_qv_paths(sam, x, partition, level)
+    np.subtract(direct.entries, gap, out=gap)
+    residuals = np.max(np.abs(gap, out=gap), axis=1)[_entry_rows(y.d)]
     scale = max(float(np.max(np.abs(direct.final()))), _TINY)
     residuals.setflags(write=False)
     return QvIdentityReport(

@@ -346,9 +346,6 @@ class PartitionSequence:
     def points(self, level: int) -> np.ndarray:
         return self.times[self.indices(level)]
 
-    def num_cells(self, level: int) -> int:
-        return self.indices(level).shape[0] - 1
-
     def contains(self, level: int, t: float) -> bool:
         try:
             return _grid_position(self.points(level), t)[1]

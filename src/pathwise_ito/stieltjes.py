@@ -49,10 +49,6 @@ class StieltjesMeasure:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "increments", inc)
 
-    def cumulative(self) -> np.ndarray:
-        """A(t) - A(0) on the grid (one row per component), from the increments."""
-        return running_sum(self.increments)
-
 
 def total_variation(a: BVPath | SampledPath | StieltjesMeasure, i: int = 0) -> float:
     """Total variation of component i over the full grid (every row, for a measure)."""

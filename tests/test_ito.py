@@ -671,17 +671,22 @@ def test_augment_checks_its_level_and_partition_before_any_call(state_form, bad)
     assert calls == []
 
 
-def test_augment_holds_one_second_vertical_at_a_time():
-    # d = 8, N = 2^10: each integrand's D2F samples are one (N, 64) array,
-    # 0.5 MB; the next is sampled before the last is dropped, so eight
-    # integrands may hold two of them at once, not eight
+def _square_norm_d8():
+    """A d = 8 Brownian path at N = 2^10, its partition and the cylinder x . x."""
     n, d = 2**10, 8
     times = np.linspace(0.0, 1.0, n + 1)
     z = np.random.default_rng(3).standard_normal((n, d)) * (1.0 / n) ** 0.5
     x = SampledPath(times, np.vstack([np.zeros(d), np.cumsum(z, axis=0)]))
-    part = PartitionSequence(times, num_levels=10)
     F = cylinder(lambda t, xv, av: xv @ xv, d=d, grad=lambda t, xv, av: 2.0 * xv,
                  hess=lambda t, xv, av: 2.0 * np.eye(d), dt=lambda t, xv, av: 0.0)
+    return x, PartitionSequence(times, num_levels=10), F
+
+
+def test_augment_holds_one_second_vertical_at_a_time():
+    # d = 8, N = 2^10: each integrand's D2F samples are one (N, 64) array,
+    # 0.5 MB; the next is sampled before the last is dropped, so eight
+    # integrands may hold two of them at once, not eight
+    x, part, F = _square_norm_d8()
 
     def peak(nu):
         tracemalloc.start()
@@ -691,8 +696,28 @@ def test_augment_holds_one_second_vertical_at_a_time():
         finally:
             tracemalloc.stop()
 
-    one_v2 = (n + 1) * d * d * 8
+    one_v2 = x.n_points * x.d * x.d * 8
     assert peak(8) - peak(1) < 2 * one_v2
+
+
+def test_qv_identity_holds_packed_rows_and_one_weight_block():
+    # d = 8, nu = 6, N = 2^10: the gate holds nu(nu + 1)/2 = 21 packed rows,
+    # one (N, d, d) weight block (0.5 MB) and the (d * d, N - 1) measure; the
+    # slack covers the samples, Y and its QV rows, and the columns the measure
+    # is formed from.  A second weight block alive at once exceeds it.
+    x, part, F = _square_norm_d8()
+    n_pts, d, nu = x.n_points, x.d, 6
+    tracemalloc.start()
+    try:
+        qv_of_Y_check([AdmissibleIntegrand(F)] * nu, x, part, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = nu * (nu + 1) // 2 * n_pts * 8
+    block = n_pts * d * d * 8
+    measure = d * d * (n_pts - 1) * 8
+    samples = nu * n_pts * d * 8
+    assert peak < rows + block + measure + samples + 2**19
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import pathwise_ito
 from pathwise_ito.functionals import Functional
 from pathwise_ito.ito import AdmissibleIntegrand, _weighted_qv_paths, ito_integral
 from pathwise_ito.paths import PartitionSequence, SampledPath
-from pathwise_ito.qv import qv_measures
+from pathwise_ito.qv import _entry_rows, qv_measures
 from pathwise_ito.reduction import ordered_dot, running_sum
 from pathwise_ito.stieltjes import StieltjesMeasure, cumulative_stieltjes
 
@@ -94,8 +94,13 @@ def test_weighted_qv_paths_match_the_four_deep_loop(data):
     x = _path(data.draw, d)
     sam = _array(data.draw, (nu, N_POINTS, d))
     part = PartitionSequence(x.times, NUM_LEVELS)
-    got = _weighted_qv_paths(sam, x, part, level)
-    assert _bits(got) == _bits(_weighted_qv_loop(sam, x, part, level))
+    got = _weighted_qv_paths(sam, x, part, level)  # packed rows, one per pair i <= j
+    want = _weighted_qv_loop(sam, x, part, level)
+    rows = _entry_rows(nu)
+    assert got.shape == (nu * (nu + 1) // 2, N_POINTS)
+    for i in range(nu):
+        for j in range(i, nu):
+            assert _bits(got[rows[i, j]]) == _bits(want[:, i, j])
 
 
 @settings(max_examples=60, deadline=None)

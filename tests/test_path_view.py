@@ -192,7 +192,7 @@ def test_single_and_double_bumps_match_the_copies(data):
     path = data.draw(paths())
     if data.draw(st.booleans()):
         part = PartitionSequence(path.times, default_num_levels(path.n_points))
-        s = float(part.points(1)[data.draw(st.integers(0, part.num_cells(1)))])
+        s = float(part.points(1)[data.draw(st.integers(0, part.indices(1).size - 1))])
         base, ref_base = pre_step(path, part, 1, s), ref_pre_step(path, part, 1, s)
     else:
         base, ref_base = path, path
@@ -336,7 +336,7 @@ def test_per_cell_integral_builds_samples_only_when_read(reads_values, builds):
     F = Functional(lambda t, path, a: 0.0, d=2, vertical=grad)
     part = PartitionSequence(x.times, default_num_levels(x.n_points))
     res = ito_integral(AdmissibleIntegrand(F), x, part)
-    cells = sum(part.num_cells(n) for n in res.levels)
+    cells = sum(part.indices(n).size - 1 for n in res.levels)
     assert len(builds) == (cells if reads_values else 0)
     for row, n in enumerate(res.levels):
         ref = _ref_integral_at_points(F, x, part, n)

@@ -290,7 +290,6 @@ def test_partition_levels_are_nested():
         assert {0, 16} <= coarse
     assert part.stride(4) == 1
     assert np.array_equal(part.indices(4), np.arange(17))
-    assert part.num_cells(1) == 2
 
 
 def test_partition_handles_ragged_grids():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pathwise_ito.paths import DomainError, GridError, PartitionSequence, SampledPath
 from pathwise_ito.qv import qv_converged, qv_matrix, qv_measures, qv_scalar
+from pathwise_ito.reduction import running_sum
 
 
 def _grid(n, T=1.0):
@@ -67,7 +68,7 @@ def test_measure_increments_sum_back_to_the_path():
     part = PartitionSequence(times, num_levels=4)
     for lev in (1, 2, 4):
         m = qv_matrix(x, part, lev)
-        cum = qv_measures(x, part, lev).cumulative()  # row i * d + j: [x_i, x_j]
+        cum = running_sum(qv_measures(x, part, lev).increments)  # row i * d + j: [x_i, x_j]
         for i in range(2):
             for j in range(2):
                 assert np.allclose(cum[i * 2 + j], m.entry_path(i, j), rtol=0, atol=5e-14)
