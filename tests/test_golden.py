@@ -8,9 +8,17 @@ the platform's libm or on the OpenBLAS kernel picked for the CPU.  One
 exception: ``gen_smooth_d4.csv``'s ``t**7`` and ``t**60`` run numpy's SIMD
 ``power``, whose last bit can follow the CPU's vector extensions.
 
-To pin a deliberate change of summation order, rerun the command lines below
-with ``-o tests/golden/<file>`` and state the deviation bound in CHANGES.md.
+To pin a deliberate change of summation order, run
+
+    PYTHONPATH=src python tests/test_golden.py --repin NAME...
+
+which rewrites each named file from the command lines below and prints its
+largest absolute and relative cell change against the old bytes; state the
+deviation bound in CHANGES.md.
 """
+import argparse
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -42,6 +50,8 @@ CASES = {
     # clock and one component.
     "ito_check_d16.csv": ["ito-check", "-c", str(GOLDEN / "cylinder_d16.json")],
     "assoc_check_d2.csv": ["assoc-check", "-c", str(GOLDEN / "assoc_d2.json")],
+    # d = 16 and nu = 16: the QV gate weighs [X] with 136 pairs of integrands.
+    "assoc_check_d16.csv": ["assoc-check", "-c", str(GOLDEN / "assoc_d16.json")],
     # A product and a composition with finite-difference slots: vertical
     # and evaluate run on all grid rows at once, while the vertical2 and
     # horizontal slots that finite differences reach run point by point on
@@ -83,7 +93,9 @@ def test_path_n300_d4_is_the_head_of_a_gen_path(tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", [None, "2"], ids=["default", "openblas2"])
 @pytest.mark.parametrize(
-    "name", ["integrate_percell_d2.csv", "ito_check_percell_d2.csv", "assoc_check_d2.csv"]
+    "name",
+    ["integrate_percell_d2.csv", "ito_check_percell_d2.csv", "assoc_check_d2.csv",
+     "assoc_check_d16.csv"],
 )
 def test_cli_process_bytes_do_not_depend_on_blas_threads(name, threads, tmp_path):
     # These cases sum per-cell and chain-rule dot products, in a fixed order
@@ -104,3 +116,56 @@ def test_cli_process_bytes_do_not_depend_on_blas_threads(name, threads, tmp_path
     )
     assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _cells(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode())))
+
+
+def _cell_change(old: bytes, new: bytes) -> tuple[float, float]:
+    """Largest absolute and relative change over the numeric cells of two tables."""
+    old_rows, new_rows = _cells(old), _cells(new)
+    if [len(r) for r in old_rows] != [len(r) for r in new_rows]:
+        raise ValueError("the table's layout changed")
+    worst_abs = worst_rel = 0.0
+    for old_row, new_row in zip(old_rows, new_rows):
+        for a, b in zip(old_row, new_row):
+            try:
+                fa, fb = float(a), float(b)
+            except ValueError:
+                if a != b:
+                    raise ValueError(f"text cell changed: {a!r} -> {b!r}") from None
+                continue
+            change = abs(fb - fa)
+            worst_abs = max(worst_abs, change)
+            if change:
+                worst_rel = max(worst_rel, change / abs(fa) if fa else float("inf"))
+    return worst_abs, worst_rel
+
+
+def repin(names: list[str]) -> None:
+    """Rewrite the named goldens from CASES and print each file's cell change."""
+    for name in names:
+        target = GOLDEN / name
+        old = target.read_bytes() if target.exists() else None
+        err = io.StringIO()
+        stdout, stderr = sys.stdout, sys.stderr
+        sys.stdout = sys.stderr = err
+        try:
+            code = cli_main(CASES[name] + ["-o", str(target)])
+        finally:
+            sys.stdout, sys.stderr = stdout, stderr
+        if code != 0:
+            raise SystemExit(f"{name}: exit {code}: {err.getvalue().strip()}")
+        if old is None:
+            print(f"{name}: new")
+        else:
+            worst_abs, worst_rel = _cell_change(old, target.read_bytes())
+            print(f"{name}: max abs change {worst_abs:.3e}, max rel change {worst_rel:.3e}")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite golden CLI outputs.")
+    parser.add_argument("--repin", nargs="+", required=True, choices=sorted(CASES),
+                        metavar="NAME", help="golden files to rewrite")
+    repin(parser.parse_args().repin)
