@@ -24,7 +24,8 @@ first grid time at which the term's running path is non-finite.
 
 The compensator, integral DF . d(t, A) + 1/2 D2F : d[X]_n, is formed in one
 place, ``_compensator``, for the formula report, ``augment`` and the
-corollary; each caller checks its own terms.
+corollary, which check their own terms.  It and the QV identity for Y take
+d[X]_n cell by cell as the rank-two v v^T - w w^T of ``qv._anchored_steps``.
 
 Cost.  Each slot's route, and so its cost a level, is the rule in the
 ``functionals`` module docstring.
@@ -49,7 +50,7 @@ from .paths import (
     _stepped,
     concat_components,
 )
-from .qv import _entry_rows, _require_finite_term, qv_matrix, qv_measures
+from .qv import _anchored_steps, _entry_rows, _require_finite_term, qv_matrix
 from .reduction import map_chunked, ordered_dot, running_sum
 from .stieltjes import cumulative_stieltjes, measures_with_clock
 
@@ -77,19 +78,6 @@ class AdmissibleIntegrand:
     def xi(self, t: float, x) -> np.ndarray:
         """The integrand vector at (t, x)."""
         return self.functional.vertical(t, x, self.bv)
-
-
-def _level_list(partition: PartitionSequence, levels) -> tuple[int, ...]:
-    if levels is None:
-        return tuple(range(1, partition.num_levels + 1))
-    if isinstance(levels, (int, np.integer)):
-        return (int(levels),)
-    out = tuple(int(n) for n in levels)
-    if not out:
-        raise ValueError("need at least one level")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError("levels must be strictly increasing")
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,7 +140,7 @@ def ito_integral(
         raise ValueError("integrand and path dimensions differ")
     if xi.bv is not None:
         _require_same_grid(x, xi.bv)
-    lv = _level_list(partition, levels)
+    lv = partition._level_list(levels)
     n_pts = x.n_points
     values = np.empty((len(lv), n_pts))
     interp = np.zeros((len(lv), n_pts), dtype=bool)
@@ -236,7 +224,9 @@ def _sampled(F: Functional, slot: str, x: SampledPath, a: BVPath | None, rows=No
 
 def _compensator(fs, x: SampledPath, a: BVPath | None, partition, levels, weights=None):
     """Unchecked running paths (horiz, qv): horiz[l] of integral w DF_l . d(t, A) and
-    qv[k, l] of 1/2 integral w D2F_l : d[X]_n at n = levels[k]; w = weights[:, l] or 1."""
+    qv[k, l] of 1/2 integral w D2F_l : d[X]_n at n = levels[k]; w = weights[:, l] or 1.
+    A base cell adds +0.0 + sum_ij D2F_ij (v_i v_j - w_i w_j) in row-major (i, j) order,
+    D2F at its left end and (v, w) its ``_anchored_steps``."""
     _require_same_grid(x, partition)  # the grid and the levels before any slot is sampled
     for n in levels:
         partition._check_level(n)
@@ -246,17 +236,19 @@ def _compensator(fs, x: SampledPath, a: BVPath | None, partition, levels, weight
         return out if weights is None else out * weights[:, l, None]
 
     clock = measures_with_clock(a if a is not None else BVPath.empty(x.times))
+    qv = np.empty((len(levels), len(fs), x.n_points))
     with np.errstate(invalid="ignore", over="ignore"):
         horiz = [cumulative_stieltjes(term(F, "horizontal", l), clock) for l, F in enumerate(fs)]
-        # several levels reuse every D2F; one level (augment) holds one at a time
-        v2 = [term(F, "vertical2", l) for l, F in enumerate(fs)] if len(levels) > 1 else None
-        qv = np.empty((len(levels), len(fs), x.n_points))  # before any measure: peak RSS
-        for k, n in enumerate(levels):
-            qvm = qv_measures(x, partition, n)
-            for l, F in enumerate(fs):
-                v = term(F, "vertical2", l) if v2 is None else v2[l]
-                qv[k, l] = 0.5 * cumulative_stieltjes(v, qvm)
-            del qvm  # before the next level's measure is formed
+        for l, F in enumerate(fs):  # one D2F at a time, for every level
+            hess = term(F, "vertical2", l)[:-1].reshape(-1, x.d, x.d)
+            for k, n in enumerate(levels):
+                v, w = _anchored_steps(x, partition, n)
+                cells = np.zeros(x.n_points - 1)
+                for i in range(x.d):
+                    terms = hess[:, i] * (v[:, i, None] * v - w[:, i, None] * w)
+                    for j in range(x.d):
+                        cells += terms[:, j]
+                qv[k, l] = 0.5 * running_sum(cells)
     return horiz, qv
 
 
@@ -291,7 +283,7 @@ def ito_formula_report(
     A non-finite term raises DomainError naming the term, the level and
     the first grid time at which its running path is non-finite.
     """
-    lv = _level_list(partition, levels)
+    lv = partition._level_list(levels)
     F_T, F_0 = F.evaluate(x.horizon, x, a), F.evaluate(0.0, x, a)
     lhs = F_T - F_0
     ito_at_T = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv).values[:, -1].copy()
@@ -358,17 +350,18 @@ def _xi_samples(xis: Sequence[AdmissibleIntegrand], x: SampledPath) -> np.ndarra
 def _weighted_qv_paths(
     sam: np.ndarray, x: SampledPath, partition: PartitionSequence, level: int
 ) -> np.ndarray:
-    """Packed rows of t -> sum_kl integral of xi_(i),k xi_(j),l d[X_k, X_l]: row
-    ``_entry_rows(nu)[i, j]`` for each pair i <= j, its weights in one (N, d, d) buffer."""
-    nu, n_pts, d = sam.shape
-    qvm = qv_measures(x, partition, level)
+    """Packed rows of t -> integral of xi_(i)^T d[X]_n xi_(j): row ``_entry_rows(nu)[i, j]``
+    for each pair i <= j, summing (xi_i . v)(xi_j . v) - (xi_i . w)(xi_j . w) over the base
+    cells, xi at each cell's left end and (v, w) its ``_anchored_steps``."""
+    nu, n_pts, _ = sam.shape
+    v, w = _anchored_steps(x, partition, level)
+    along_v = [ordered_dot(s[:-1], v) for s in sam]
+    along_w = [ordered_dot(s[:-1], w) for s in sam]
     rows = _entry_rows(nu)
     out = np.empty((nu * (nu + 1) // 2, n_pts))
-    weights = np.empty((n_pts, d, d))
     for i in range(nu):
         for j in range(i, nu):
-            np.multiply(sam[i, :, :, None], sam[j, :, None, :], out=weights)
-            out[rows[i, j]] = cumulative_stieltjes(weights.reshape(n_pts, -1), qvm)
+            out[rows[i, j]] = running_sum(along_v[i] * along_v[j] - along_w[i] * along_w[j])
     return out
 
 
@@ -574,7 +567,7 @@ def associativity_check(
     identity under test presupposes it.
     """
     xis = list(xis)
-    lv = _level_list(partition, levels)
+    lv = partition._level_list(levels)
     finest = lv[-1]
     if eta.functional.d != len(xis):
         raise ValueError("eta must drive exactly one component per integrand")
@@ -642,13 +635,13 @@ def corollary_decomposition(
 
     The right-hand side integrates the composed integrand against X and
     adds eta-weighted horizontal and second-vertical QV corrections, the
-    latter with the level's own measures.  The same quadratic-variation
+    latter against the level's own [X].  The same quadratic-variation
     hypothesis as in the associativity check gates the comparison, with Y
     evaluated directly rather than built from integrals.  A non-finite term
     raises DomainError as in :func:`ito_formula_report`.
     """
     f_vec = list(f_vec)
-    lv = _level_list(partition, levels)
+    lv = partition._level_list(levels)
     if eta.functional.d != len(f_vec):
         raise ValueError("eta must drive exactly one component per functional")
     y = SampledPath(x.times, np.column_stack([_sampled(F, "evaluate", x, a) for F in f_vec]), LINEAR)

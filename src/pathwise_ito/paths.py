@@ -333,6 +333,19 @@ class PartitionSequence:
             raise ValueError(f"level must lie in [1, {self.num_levels}]")
         return level
 
+    def _level_list(self, levels) -> tuple[int, ...]:
+        """A levels argument as a tuple: all levels for None, else nonempty and rising."""
+        if levels is None:
+            return tuple(range(1, self.num_levels + 1))
+        if isinstance(levels, (int, np.integer)):
+            return (int(levels),)
+        out = tuple(int(n) for n in levels)
+        if not out:
+            raise ValueError("need at least one level")
+        if any(b <= a for a, b in zip(out, out[1:])):
+            raise ValueError("levels must be strictly increasing")
+        return out
+
     def stride(self, level: int) -> int:
         return 2 ** (self.num_levels - self._check_level(level))
 

@@ -11,14 +11,18 @@ the path AND on the partition sequence; convergence is therefore always
 reported as a diagnostic, never assumed, and nothing below ever raises just
 because a path fails to converge.
 
-Off-diagonal entries are never formed from cross products.  They are defined
-by polarization,
+The entry paths are polarized: off-diagonal entries are never formed from
+cross products but defined by
 
     [x_i, x_j] = ([x_i + x_j] - [x_i] - [x_j]) / 2,
 
 which keeps every matrix exactly symmetric and consistent with the scalar
-sums by construction.  Polarization is batched: the d columns x_i and the
-d(d-1)/2 columns x_i + x_j sit in one (columns, N) array and every level
+sums by construction.  The increments are rank-two: over a base cell
+[u, u'] in the level cell that starts at s, [x]_n grows by v v^T - w w^T,
+v = x(u') - x(s) and w = x(u) - x(s) (:func:`_anchored_steps`); the Ito
+compensator, the QV identity for Y and :func:`qv_measures` use them.
+Polarization is batched: the d columns x_i and the d(d-1)/2 columns
+x_i + x_j sit in one (columns, N) array and every level
 runs on all of them in one set of array operations.  Each column keeps the
 one-column arithmetic and summation order, so the batch gives the same bits
 as running the columns one by one.  A :class:`QVMatrix` keeps this packed
@@ -98,21 +102,14 @@ def _qv_matrix_arrays(
     d: int,
     partition: PartitionSequence,
     level: int,
-    paths: bool = True,
-    increments: bool = False,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Packed (k, N) entry paths and (k, N-1) per-cell entry increments.
+) -> np.ndarray:
+    """Packed (k, N) entry paths: [x_i] for i < d, then [x_i, x_j] for i < j.
 
-    ``cols`` comes from :func:`_polarization_columns`; the returned rows are
-    [x_i] for i < d, then [x_i, x_j] for i < j, and a skipped output is None.
-    Every row gets the one-component computation: the increment over a base
-    cell [u, u'] inside the partition cell starting at s is
-    (x(u') - x(s))^2 - (x(u) - x(s))^2, which telescopes over a full
-    partition cell to the squared partition increment.  The paths are
-    written into ``out``, a (k, N) float64 array, when one is given.
-    Overflow yields non-finite entries without a warning; callers that
-    report entries check them.
+    Each row of ``cols`` (:func:`_polarization_columns`) gets the one-component
+    computation, then the pair rows are polarized; the paths go into ``out``,
+    a (k, N) float64 array, when one is given.  Overflow yields non-finite
+    entries without a warning; callers that report entries check them.
     """
     k, n = cols.shape
     s = partition.stride(level)
@@ -122,7 +119,6 @@ def _qv_matrix_arrays(
     sq = np.empty((k, n)) if out is None else out
     full = sq[:, : q * s].reshape(k, q, s)
     lvl = np.empty((k, cells + 1))  # 0, then the squared level increments
-    inc = None
     with np.errstate(over="ignore", invalid="ignore"):
         lvl[:, 0] = 0.0
         np.subtract(anchors[:, 1:], anchors[:, :-1], out=lvl[:, 1:cells])
@@ -133,30 +129,29 @@ def _qv_matrix_arrays(
         np.subtract(cols[:, q * s : n - 1], cols[:, q * s : q * s + 1], out=sq[:, q * s : n - 1])
         np.subtract(cols[:, n - 1], cols[:, n - 1], out=sq[:, n - 1])
         sq *= sq
-        if increments:
-            inc = sq[:, 1:] - sq[:, :-1]
-            # At partition points after the first the anchor changes; the
-            # base cell ending there still belongs to the previous anchor.
-            ends = slice(s - 1, n - 2, s)
-            np.subtract(lvl[:, 1:cells], sq[:, ends], out=inc[:, ends])
-            np.subtract(lvl[:, cells], sq[:, n - 2], out=inc[:, n - 2])
-            _polarize(inc, d)
-        if paths:
-            np.cumsum(lvl, axis=1, out=lvl)
-            full += lvl[:, :q, None]
-            sq[:, q * s : n - 1] += lvl[:, q : q + 1]
-            sq[:, n - 1] += lvl[:, cells]
-            _polarize(sq, d)
-    return (sq if paths else None), inc
+        np.cumsum(lvl, axis=1, out=lvl)
+        full += lvl[:, :q, None]
+        sq[:, q * s : n - 1] += lvl[:, q : q + 1]
+        sq[:, n - 1] += lvl[:, cells]
+        for i, rows in _pair_blocks(d):  # [x_i + x_j] - [x_i] - [x_j], then halved
+            off = sq[rows]
+            off -= sq[i]
+            off -= sq[i + 1 : d]
+        sq[d:] *= 0.5
+    return sq
 
 
-def _polarize(a: np.ndarray, d: int) -> None:
-    """Turn rows [x_i + x_j] into ([x_i + x_j] - [x_i] - [x_j]) / 2 in place."""
-    for i, rows in _pair_blocks(d):
-        off = a[rows]
-        off -= a[i]
-        off -= a[i + 1 : d]
-    a[d:] *= 0.5
+def _anchored_steps(x: SampledPath, partition: PartitionSequence, level: int):
+    """(v, w), each (N-1, d): v = x(u') - x(s), w = x(u) - x(s) for every base cell [u, u'],
+    j-th cell's anchor s = (j // stride) * stride: a cell that ends at a partition point keeps
+    the old anchor, and each cell's w is the v of the cell before it."""
+    _require_same_grid(x, partition)
+    s = partition.stride(level)
+    anchors = x.values[np.arange(x.n_points - 1) // s * s]
+    with np.errstate(over="ignore", invalid="ignore"):  # callers report non-finite terms
+        v = x.values[1:] - anchors
+        w = np.subtract(x.values[:-1], anchors, out=anchors)
+    return v, w
 
 
 def _table_pairs(d: int) -> list[tuple[int, int]]:
@@ -215,7 +210,7 @@ def qv_scalar(
     _require_same_grid(x, partition)
     if not 0 <= component < x.d:
         raise ValueError(f"component must lie in [0, {x.d - 1}]")
-    path = _qv_matrix_arrays(x.values[:, component][None, :], 1, partition, level)[0][0]
+    path = _qv_matrix_arrays(x.values[:, component][None, :], 1, partition, level)[0]
     _require_finite_term(f"qv_{component + 1}{component + 1}", path, x.times, level)
     if t is None:
         return float(path[-1])
@@ -276,18 +271,20 @@ def qv_matrix(
     entries, the level and the first grid time.
     """
     _require_same_grid(x, partition)
-    entries, _ = _qv_matrix_arrays(_polarization_columns(x.values), x.d, partition, level)
+    entries = _qv_matrix_arrays(_polarization_columns(x.values), x.d, partition, level)
     _require_finite(entries, x.d, level, x.times)
     return QVMatrix(times=x.times, entries=entries, level=int(level))
 
 
 def qv_measures(x: SampledPath, partition: PartitionSequence, level: int) -> StieltjesMeasure:
-    """The matrix-valued measure d[x]_n: row i * d + j holds d[x_i, x_j]_n."""
-    _require_same_grid(x, partition)
-    _, incs = _qv_matrix_arrays(
-        _polarization_columns(x.values), x.d, partition, level, paths=False, increments=True
-    )
-    return StieltjesMeasure(x.times, incs[_entry_rows(x.d).ravel()])
+    """The matrix-valued measure d[x]_n: row i * d + j holds d[x_i, x_j]_n, over each
+    base cell the rank-two v_i v_j - w_i w_j of :func:`_anchored_steps`."""
+    v, w = _anchored_steps(x, partition, level)
+    inc = np.empty((x.d, x.d, x.n_points - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, j in np.ndindex(x.d, x.d):
+            np.subtract(v[:, i] * v[:, j], w[:, i] * w[:, j], out=inc[i, j])
+    return StieltjesMeasure(x.times, inc.reshape(x.d * x.d, -1))
 
 
 def qv_converged(
@@ -306,9 +303,7 @@ def qv_converged(
     difference is below ``tol`` (an absolute threshold).  A non-finite entry
     or difference raises DomainError.
     """
-    if levels is None:
-        levels = tuple(range(1, partition.num_levels + 1))
-    levels = tuple(int(n) for n in levels)
+    levels = partition._level_list(levels)
     if len(levels) < 2:
         raise ValueError("convergence diagnostics need at least two levels")
     _require_same_grid(x, partition)
@@ -316,7 +311,7 @@ def qv_converged(
     diffs = []
     prev = spare = gap = None
     for prev_n, n in zip((None,) + levels, levels):
-        entries, _ = _qv_matrix_arrays(cols, x.d, partition, n, out=spare)
+        entries = _qv_matrix_arrays(cols, x.d, partition, n, out=spare)
         _require_finite(entries, x.d, n, x.times)
         if prev is not None:
             gap = _level_gap(entries, prev, 0, (prev_n, n), x.times)

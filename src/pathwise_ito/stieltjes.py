@@ -13,10 +13,9 @@ the two would silently break that agreement.
 
 An R^r-valued integrator is one measure with r rows of increments; f is
 then (N, r), and the rows' left-endpoint sums are added in row order onto
-+0.0.  Each change-of-variables term is one such integral: the horizontal
-term against (t, A_1, ..., A_m) (:func:`measures_with_clock`), the
-second-order term against the d * d entries of [X], row-major
-(``qv.qv_measures``).  A scalar measure is the one-row case.
++0.0.  The horizontal change-of-variables term is one such integral,
+against (t, A_1, ..., A_m) (:func:`measures_with_clock`).  A scalar measure
+is the one-row case.
 """
 from __future__ import annotations
 

@@ -39,6 +39,7 @@ from pathwise_ito.paths import (
     PartitionSequence,
     SampledPath,
 )
+from pathwise_ito import ito as ito_module
 from pathwise_ito import qv as qv_module
 from pathwise_ito.qv import qv_matrix, qv_scalar
 from pathwise_ito.stieltjes import StieltjesMeasure, cumulative_stieltjes
@@ -299,17 +300,21 @@ def test_formula_report_with_clock_term():
 
 @pytest.mark.parametrize("levels", [None, (3, 5, 8)])
 def test_formula_report_runs_one_qv_pass_per_level(levels, monkeypatch):
+    # one set of anchored steps a level, and no polarized QV paths
     x, part = _brownian(exponent=8)
-    real = qv_module._qv_matrix_arrays
-    passes = []
+    real_steps, real_paths = ito_module._anchored_steps, qv_module._qv_matrix_arrays
+    passes, paths = [], []
 
-    def counted(*args, **kwargs):
-        passes.append(args[3])
-        return real(*args, **kwargs)
+    def counted(x_, partition, level):
+        passes.append(level)
+        return real_steps(x_, partition, level)
 
-    monkeypatch.setattr(qv_module, "_qv_matrix_arrays", counted)
+    monkeypatch.setattr(ito_module, "_anchored_steps", counted)
+    monkeypatch.setattr(qv_module, "_qv_matrix_arrays",
+                        lambda *args, **kwargs: paths.append(1) or real_paths(*args, **kwargs))
     rep = ito_formula_report(_square_functional(), x, None, part, levels)
     assert passes == list(rep.levels)
+    assert paths == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -700,11 +705,13 @@ def test_augment_holds_one_second_vertical_at_a_time():
     assert peak(8) - peak(1) < 2 * one_v2
 
 
-def test_qv_identity_holds_packed_rows_and_one_weight_block():
-    # d = 8, nu = 6, N = 2^10: the gate holds nu(nu + 1)/2 = 21 packed rows,
-    # one (N, d, d) weight block (0.5 MB) and the (d * d, N - 1) measure; the
-    # slack covers the samples, Y and its QV rows, and the columns the measure
-    # is formed from.  A second weight block alive at once exceeds it.
+def test_qv_identity_holds_packed_rows_dot_rows_and_steps():
+    # d = 8, nu = 6, N = 2^10: the gate holds two sets of nu(nu + 1)/2 = 21
+    # packed rows ([Y] and the weighted [X] integrals), the (nu, N - 1) dot
+    # rows of the integrands along v and along w, the (N - 1, d) steps v and
+    # w, and the samples; the slack covers Y, the running sums' temporaries
+    # and the columns [Y] is formed from.  An (N, d, d) weight block or a
+    # (d * d, N - 1) measure (0.5 MB each) alive at once exceeds it.
     x, part, F = _square_norm_d8()
     n_pts, d, nu = x.n_points, x.d, 6
     tracemalloc.start()
@@ -713,11 +720,11 @@ def test_qv_identity_holds_packed_rows_and_one_weight_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    rows = nu * (nu + 1) // 2 * n_pts * 8
-    block = n_pts * d * d * 8
-    measure = d * d * (n_pts - 1) * 8
+    rows = 2 * nu * (nu + 1) // 2 * n_pts * 8
+    dot_rows = 2 * nu * (n_pts - 1) * 8
+    steps = 2 * (n_pts - 1) * d * 8
     samples = nu * n_pts * d * 8
-    assert peak < rows + block + measure + samples + 2**19
+    assert peak < rows + dot_rows + steps + samples + 5 * 2**16
 
 
 # ---------------------------------------------------------------------------

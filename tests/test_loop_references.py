@@ -3,8 +3,11 @@
 The weighted [X] integrals behind the QV identity for Y, and the plain
 Riemann sums, were once written as explicit loops: four deep over (i, j, k,
 l) for the former, one dot product per cell for the latter.  Those loops are
-kept here as references, and the array forms must give their bits, the sign
-of a zero included, for d and the number of integrands from 1 to 3.
+kept here as references, for d and the number of integrands from 1 to 3.
+The plain sums must give the loop's bits, the sign of a zero included.  The
+weighted integrals now sum (xi_i . v)(xi_j . v) - (xi_i . w)(xi_j . w) per
+cell, in another order than the loop's entry-by-entry sums, so the two
+must agree within the sum of their a-priori rounding bounds.
 
 Every row dot product in the package goes through ``reduction.ordered_dot``,
 which must give the bits of a left-to-right loop over Python floats; no BLAS
@@ -22,9 +25,10 @@ import pathwise_ito
 from pathwise_ito.functionals import Functional
 from pathwise_ito.ito import AdmissibleIntegrand, _weighted_qv_paths, ito_integral
 from pathwise_ito.paths import PartitionSequence, SampledPath
-from pathwise_ito.qv import _entry_rows, qv_measures
+from pathwise_ito.qv import _anchored_steps, _entry_rows, qv_measures
 from pathwise_ito.reduction import ordered_dot, running_sum
 from pathwise_ito.stieltjes import StieltjesMeasure, cumulative_stieltjes
+from rounding import rounding_bound
 
 NUM_LEVELS = 3
 N_POINTS = 2**NUM_LEVELS + 1
@@ -85,6 +89,33 @@ def _bits(arr) -> bytes:
     return np.ascontiguousarray(arr, dtype=np.float64).tobytes()
 
 
+def _weighted_qv_bound(sam, x, partition, level, i, j):
+    """Rounding bounds of the array form and of the four-deep loop, added.
+
+    Both sum the cell terms xi_ik xi_jl (v_k v_l - w_k w_l) over k, l and the
+    cells; per cell, |xi_i|.|v| |xi_j|.|v| + |xi_i|.|w| |xi_j|.|w| bounds them.
+    A term takes at most 2d + 2 roundings in the array form (two dots, their
+    product, the difference) and d^2 + 5 in the loop (the measure entry, the
+    weight, their product, the d^2 entries added onto 0), plus one for each
+    later cell of the running sums, and 2d + 2 to form its float here.  The
+    subnormal inputs add an absolute error of at most 2^-1075 to each
+    product that underflows (Higham section 2.1), times a later factor below
+    1e3 here; every product of both forms is counted.
+    """
+    nu, n_pts, d = sam.shape
+    v, w = _anchored_steps(x, partition, level)
+    terms = np.sum(np.abs(sam[i, :-1]) * np.abs(v), axis=1) * np.sum(
+        np.abs(sam[j, :-1]) * np.abs(v), axis=1
+    ) + np.sum(np.abs(sam[i, :-1]) * np.abs(w), axis=1) * np.sum(
+        np.abs(sam[j, :-1]) * np.abs(w), axis=1
+    )
+    cells = n_pts - 1
+    later = cells - 1 + 2 * d + 2
+    bound = rounding_bound(terms, 2 * d + 2 + later) + rounding_bound(terms, d * d + 5 + later)
+    products = cells * ((4 * d + 2) + 4 * d * d)
+    return bound + products * 500.0 * 2.0**-1074  # 1e3 * 2^-1075
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_weighted_qv_paths_match_the_four_deep_loop(data):
@@ -100,7 +131,8 @@ def test_weighted_qv_paths_match_the_four_deep_loop(data):
     assert got.shape == (nu * (nu + 1) // 2, N_POINTS)
     for i in range(nu):
         for j in range(i, nu):
-            assert _bits(got[rows[i, j]]) == _bits(want[:, i, j])
+            gap = np.max(np.abs(got[rows[i, j]] - want[:, i, j]))
+            assert gap <= _weighted_qv_bound(sam, x, part, level, i, j), (i, j)
 
 
 @settings(max_examples=60, deadline=None)

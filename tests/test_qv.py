@@ -1,13 +1,26 @@
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathwise_ito.paths import DomainError, GridError, PartitionSequence, SampledPath
-from pathwise_ito.qv import qv_converged, qv_matrix, qv_measures, qv_scalar
+from pathwise_ito.paths import (
+    DomainError,
+    GridError,
+    PartitionSequence,
+    SampledPath,
+    default_num_levels,
+    load_sampled_path,
+)
+from pathwise_ito.qv import _anchored_steps, qv_converged, qv_matrix, qv_measures, qv_scalar
 from pathwise_ito.reduction import running_sum
+
+# 300 points: no stride divides the 299 cells, so every level ends in a
+# partial cell, and at 12 levels the coarsest strides pass the grid
+PATH_N300 = Path(__file__).parent / "golden" / "path_n300_d4.csv"
 
 
 def _grid(n, T=1.0):
@@ -185,6 +198,48 @@ def test_qv_scalar_raises_on_overflow_like_qv_matrix():
                 qv_scalar(x, part, level, t=t, component=component)
 
 
+@pytest.mark.parametrize("num_levels", [None, 12])
+def test_anchored_steps_match_searched_anchors(num_levels):
+    x = load_sampled_path(PATH_N300)
+    part = PartitionSequence(x.times, num_levels or default_num_levels(x.n_points))
+    for level in range(1, part.num_levels + 1):
+        points = [int(p) for p in part.indices(level)]
+        v, w = _anchored_steps(x, part, level)
+        assert v.shape == w.shape == (x.n_points - 1, x.d)
+        for cell in range(x.n_points - 1):
+            s = max(p for p in points if p <= cell)  # a cell ending at a point keeps its anchor
+            assert v[cell].tobytes() == (x.values[cell + 1] - x.values[s]).tobytes()
+            assert w[cell].tobytes() == (x.values[cell] - x.values[s]).tobytes()
+
+
+@pytest.mark.parametrize("level", [3, 6, 8])
+def test_anchored_steps_telescope_to_the_level_increment_exactly(level):
+    # w of a base cell is the v of the cell before it, so over each level
+    # cell the rank-two increments sum, in exact arithmetic, to delta delta^T
+    # with delta the level increment as the library computes it
+    x = load_sampled_path(PATH_N300)
+    part = PartitionSequence(x.times, default_num_levels(x.n_points))
+    v, w = _anchored_steps(x, part, level)
+    points = part.indices(level)
+    for s, end in zip(points[:-1], points[1:]):
+        delta = x.values[end] - x.values[s]
+        for i in range(x.d):
+            for j in range(x.d):
+                total = sum(
+                    Fraction(v[c, i]) * Fraction(v[c, j]) - Fraction(w[c, i]) * Fraction(w[c, j])
+                    for c in range(s, end)
+                )
+                assert total == Fraction(delta[i]) * Fraction(delta[j]), (s, i, j)
+
+
+def test_anchored_steps_check_the_grid_and_the_level():
+    x = load_sampled_path(PATH_N300)
+    with pytest.raises(GridError):
+        _anchored_steps(x, PartitionSequence(x.times**2, 4), 2)
+    with pytest.raises(ValueError):
+        _anchored_steps(x, PartitionSequence(x.times, 4), 5)
+
+
 def test_convergence_diagnostics_on_a_seeded_walk():
     n = 2**10 + 1
     times = _grid(n)
@@ -213,6 +268,17 @@ def test_convergence_needs_two_levels():
     assert gap == np.max(r.last_gap) > 0.0
     for tol in (gap, np.nextafter(gap, np.inf)):
         assert qv_converged(x, part, tol=tol, levels=(2, 3)).converged == (gap < tol)
+
+
+@pytest.mark.parametrize("levels", [(3, 3), (5, 5, 5), (10, 2)])
+def test_convergence_rejects_levels_that_do_not_increase(levels):
+    # a repeated level compares a level with itself, a gap of 0
+    n = 2**10 + 1
+    x = SampledPath(_grid(n), _walk(n, seed=42))
+    part = PartitionSequence(x.times, num_levels=10)
+    assert not qv_converged(x, part, tol=0.05).converged
+    with pytest.raises(ValueError, match="strictly increasing"):
+        qv_converged(x, part, tol=0.05, levels=levels)
 
 
 def test_matrix_value_lookup():

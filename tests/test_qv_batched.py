@@ -3,8 +3,11 @@
 The library runs every QV column (x_i, and x_i + x_j for i < j) of a level
 in one set of array operations.  The reference below is the one-column
 computation, looped over the columns and polarized entry by entry; the
-batch must give the same bits for the matrix paths, the per-cell
-increments, the convergence diagnostics and the ``qv`` command's table.
+batch must give the same bits for the matrix paths, the convergence
+diagnostics and the ``qv`` command's table.  The per-cell increments of
+``qv_measures`` are the rank-two v v^T - w w^T of each base cell's steps
+from its anchor, checked entry by entry against steps whose anchors are
+found by search.
 """
 
 import contextlib
@@ -38,36 +41,48 @@ from pathwise_ito.qv import (
 from pathwise_ito.reduction import running_sum
 
 
-def _scalar_qv_arrays(values, partition, level):
-    """Per-grid-time QV path and per-cell QV increments for one component."""
+def _scalar_qv_path(values, partition, level):
+    """Per-grid-time QV path of one component."""
     idx = partition.indices(level)
     v = values[idx]
     dv = np.diff(v)
     cum = running_sum(dv * dv)
     pos = np.searchsorted(idx, np.arange(values.shape[0]), side="right") - 1
     anchored = values - v[pos]
-    path = cum[pos] + anchored * anchored
-    increments = anchored[1:] ** 2 - anchored[:-1] ** 2
-    boundary = idx[1:]
-    prev_anchor = values[boundary] - v[pos[boundary] - 1]
-    increments[boundary - 1] = prev_anchor**2 - anchored[boundary - 1] ** 2
-    return path, increments
+    return cum[pos] + anchored * anchored
 
 
-def _reference_matrix_arrays(x, partition, level):
-    """(N, d, d) paths and (N-1, d, d) increments, one column at a time."""
+def _reference_matrix_paths(x, partition, level):
+    """(N, d, d) paths, one column at a time."""
     n, d = x.values.shape
     mats = np.empty((n, d, d))
-    incs = np.empty((n - 1, d, d))
-    diag = [_scalar_qv_arrays(x.values[:, i], partition, level) for i in range(d)]
+    diag = [_scalar_qv_path(x.values[:, i], partition, level) for i in range(d)]
     for i in range(d):
-        mats[:, i, i], incs[:, i, i] = diag[i]
+        mats[:, i, i] = diag[i]
     for i in range(d):
         for j in range(i + 1, d):
-            p_sum, inc_sum = _scalar_qv_arrays(x.values[:, i] + x.values[:, j], partition, level)
-            mats[:, i, j] = mats[:, j, i] = 0.5 * (p_sum - diag[i][0] - diag[j][0])
-            incs[:, i, j] = incs[:, j, i] = 0.5 * (inc_sum - diag[i][1] - diag[j][1])
-    return mats, incs
+            p_sum = _scalar_qv_path(x.values[:, i] + x.values[:, j], partition, level)
+            mats[:, i, j] = mats[:, j, i] = 0.5 * (p_sum - diag[i] - diag[j])
+    return mats
+
+
+def _steps_by_search(x, partition, level):
+    """(v, w) of every base cell from the last partition point at or before its left end."""
+    idx = partition.indices(level)
+    cells = np.arange(x.n_points - 1)
+    anchors = x.values[idx[np.searchsorted(idx, cells, side="right") - 1]]
+    return x.values[cells + 1] - anchors, x.values[cells] - anchors
+
+
+def _rank_two_measure_loop(x, partition, level):
+    """(d * d, N - 1) rows v_i v_j - w_i w_j, one entry at a time, row i * d + j."""
+    v, w = _steps_by_search(x, partition, level)
+    d = x.d
+    rows = np.empty((d * d, x.n_points - 1))
+    for i in range(d):
+        for j in range(d):
+            rows[i * d + j] = v[:, i] * v[:, j] - w[:, i] * w[:, j]
+    return rows
 
 
 def _triangle_gap(new, old):
@@ -80,9 +95,9 @@ def _triangle_gap(new, old):
 def _reference_table(x, num_levels):
     """The qv command's CSV, built with csv.writer from the reference."""
     part = PartitionSequence(x.times, num_levels)
-    finest, _ = _reference_matrix_arrays(x, part, num_levels)
+    finest = _reference_matrix_paths(x, part, num_levels)
     if num_levels >= 2:
-        prev, _ = _reference_matrix_arrays(x, part, num_levels - 1)
+        prev = _reference_matrix_paths(x, part, num_levels - 1)
         gap = _triangle_gap(finest, prev)
     else:
         gap = np.zeros(x.n_points)
@@ -129,18 +144,12 @@ def test_batched_qv_matches_the_per_column_reference(case):
     assert cols.flags.c_contiguous and cols.shape == (x.d * (x.d + 1) // 2, x.n_points)
     refs = {}
     for level in range(1, num_levels + 1):
-        ref_mats, ref_incs = _reference_matrix_arrays(x, part, level)
+        ref_mats = _reference_matrix_paths(x, part, level)
         refs[level] = ref_mats
-        paths, incs = _qv_matrix_arrays(cols, x.d, part, level, paths=True, increments=True)
-        assert _same_bits(_unpack(paths, x.d), ref_mats)
-        assert _same_bits(_unpack(incs, x.d), ref_incs)
-        only_paths = _qv_matrix_arrays(cols, x.d, part, level)
-        only_incs = _qv_matrix_arrays(cols, x.d, part, level, paths=False, increments=True)
-        assert only_paths[1] is None and only_incs[0] is None
-        assert _same_bits(only_paths[0], paths) and _same_bits(only_incs[1], incs)
+        assert _same_bits(_unpack(_qv_matrix_arrays(cols, x.d, part, level), x.d), ref_mats)
         assert _same_bits(qv_matrix(x, part, level).matrices, ref_mats)
         rows = qv_measures(x, part, level).increments  # row i * d + j: d[x_i, x_j]
-        assert _same_bits(rows, ref_incs.reshape(-1, x.d * x.d).T)
+        assert _same_bits(rows, _rank_two_measure_loop(x, part, level))
         for c in range(x.d):
             assert _same_bits(qv_scalar(x, part, level, component=c), ref_mats[-1, c, c])
     if num_levels >= 3:
