@@ -296,7 +296,7 @@ def qv_converged(
     """Finest-level QV matrix with cross-level convergence diagnostics.
 
     Runs the matrix at every requested level (default: all of them; at
-    least two), coarsest first, from one set of polarization columns, and
+    least two, strictly increasing), from one set of polarization columns, and
     records the max-over-time, max-over-entry difference between consecutive
     levels, plus, per grid time, the max-over-entry difference between the
     last two (``last_gap``).  ``converged`` holds iff the last recorded

@@ -17,6 +17,7 @@ largest absolute and relative cell change against the old bytes; state the
 deviation bound in CHANGES.md.
 """
 import argparse
+import contextlib
 import csv
 import io
 import os
@@ -149,12 +150,8 @@ def repin(names: list[str]) -> None:
         target = GOLDEN / name
         old = target.read_bytes() if target.exists() else None
         err = io.StringIO()
-        stdout, stderr = sys.stdout, sys.stderr
-        sys.stdout = sys.stderr = err
-        try:
+        with contextlib.redirect_stdout(err), contextlib.redirect_stderr(err):
             code = cli_main(CASES[name] + ["-o", str(target)])
-        finally:
-            sys.stdout, sys.stderr = stdout, stderr
         if code != 0:
             raise SystemExit(f"{name}: exit {code}: {err.getvalue().strip()}")
         if old is None:
