@@ -108,9 +108,9 @@ def _cmd_qv(args) -> int:
     x = load_sampled_path(args.input)
     levels = args.levels if args.levels is not None else default_num_levels(x.n_points)
     part = PartitionSequence(x.times, num_levels=levels)
-    # The table and the verdict read only the last two levels.  Every squared
-    # difference of an x_i + x_j is at most 16 B^2, so with 16 N B^2 < 2^1000
-    # no level can overflow and qv_converged runs only those two.  Otherwise
+    # The table and the verdict read only the last two levels.  Each product
+    # of two anchored steps is at most 4 B^2, so 16 N B^2 < 2^1000 leaves no
+    # level room to overflow and qv_converged runs only those two.  Otherwise
     # it runs every level, coarsest first, and the coarsest overflow is named.
     b = float(np.max(np.abs(x.values)))
     if levels >= 2:

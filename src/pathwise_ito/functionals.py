@@ -487,8 +487,18 @@ def _formula_cylinder(
     if grad is not None:
         rules["vertical"] = columns(grad)
     if hess is not None:
-        rows = [columns(row) for row in hess]
-        rules["vertical2"] = lambda get: np.stack([r(get) for r in rows], axis=1)
+
+        def hessian(get):  # one (n, d, d) block, a row at a time through a (d, n) buffer
+            args = flat(get)
+            out = np.empty((args[0].shape[0], d, d))
+            buf = np.empty((d, args[0].shape[0]))
+            for i, row in enumerate(hess):
+                for j, fn in enumerate(row):
+                    buf[j] = fn(*args)
+                out[:, i] = buf.T
+            return out
+
+        rules["vertical2"] = hessian
     if dt is not None and (m == 0 or da is not None):
         rules["horizontal"] = columns([dt, *(da or ())])
     return _combined(rules, d, m, x_domain, name)

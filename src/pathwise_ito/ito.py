@@ -50,7 +50,7 @@ from .paths import (
     _stepped,
     concat_components,
 )
-from .qv import _anchored_steps, _entry_rows, _require_finite_term, qv_matrix
+from .qv import _anchored_steps, _entry_rows, _pair_products, _require_finite_term, qv_matrix
 from .reduction import map_chunked, ordered_dot, running_sum
 from .stieltjes import cumulative_stieltjes, measures_with_clock
 
@@ -355,13 +355,12 @@ def _weighted_qv_paths(
     cells, xi at each cell's left end and (v, w) its ``_anchored_steps``."""
     nu, n_pts, _ = sam.shape
     v, w = _anchored_steps(x, partition, level)
-    along_v = [ordered_dot(s[:-1], v) for s in sam]
-    along_w = [ordered_dot(s[:-1], w) for s in sam]
-    rows = _entry_rows(nu)
     out = np.empty((nu * (nu + 1) // 2, n_pts))
-    for i in range(nu):
-        for j in range(i, nu):
-            out[rows[i, j]] = running_sum(along_v[i] * along_v[j] - along_w[i] * along_w[j])
+    cells = out[:, 1:]
+    _pair_products(ordered_dot(sam[:, :-1], v), cells)
+    cells -= _pair_products(ordered_dot(sam[:, :-1], w), np.empty_like(cells))
+    out[:, 0] = 0.0
+    np.cumsum(cells, axis=1, out=cells)
     return out
 
 

@@ -11,31 +11,29 @@ the path AND on the partition sequence; convergence is therefore always
 reported as a diagnostic, never assumed, and nothing below ever raises just
 because a path fails to converge.
 
-The entry paths are polarized: off-diagonal entries are never formed from
-cross products but defined by
+Every entry path follows one rule.  At grid time u in the level cell that
+starts at s,
 
-    [x_i, x_j] = ([x_i + x_j] - [x_i] - [x_j]) / 2,
+    [x_i, x_j]_n(u) = L_ij(s) + (x_i(u) - x_i(s)) (x_j(u) - x_j(s)),
 
-which keeps every matrix exactly symmetric and consistent with the scalar
-sums by construction.  The increments are rank-two: over a base cell
-[u, u'] in the level cell that starts at s, [x]_n grows by v v^T - w w^T,
-v = x(u') - x(s) and w = x(u) - x(s) (:func:`_anchored_steps`); the Ito
-compensator, the QV identity for Y and :func:`qv_measures` use them.
-Polarization is batched: the d columns x_i and the d(d-1)/2 columns
-x_i + x_j sit in one (columns, N) array and every level
-runs on all of them in one set of array operations.  Each column keeps the
-one-column arithmetic and summation order, so the batch gives the same bits
-as running the columns one by one.  A :class:`QVMatrix` keeps this packed
-layout and builds its (N, d, d) ``matrices`` only when they are read.
+where L is the running sum, from +0.0, of the products of the level
+increments.  A diagonal is the scalar sum above, and over a base cell
+[u, u'] an entry grows by the rank-two v_i v_j - w_i w_j, v = x(u') - x(s)
+and w = x(u) - x(s) (:func:`_anchored_steps`); the Ito compensator, the QV
+identity for Y and :func:`qv_measures` use these increments.  Every product
+a_i a_j is written by :func:`_pair_products` in the packed layout: the d
+diagonal rows, then the pairs i < j in ``np.triu_indices`` order.  A
+:class:`QVMatrix` keeps this (k, N) layout, k = d(d + 1)/2, and builds its
+(N, d, d) ``matrices`` only when they are read.
 
 A level allocates no (k, N) temporaries beyond its output.  The anchors
 0, s, 2s, ... of stride s are the strided view ``cols[:, 0:N-1:s]``, not a
-gather; the full cells are the grid reshaped to (k, cells, s) and broadcast
-against them, and the partial last cell and the endpoint are two slices.
-Nothing is repeated per grid point.  The squared level increments are
-cumulated in place in one (k, cells + 1) array, and :func:`qv_converged`
-alternates two (k, N) buffers: the gap between two levels is computed in
-the older one, which then receives the next level.
+gather; the steps from them are written into the output's first d rows and
+their products into the whole output.  The level products are cumulated in
+place in one (k, cells + 1) array and added in one broadcast over the
+(k, cells, s) view; the partial last cell and the endpoint are two slices.
+:func:`qv_converged` alternates two (k, N) buffers: the gap between two
+levels is computed in the older one, which then receives the next level.
 
 All reductions run in a fixed order (see reduction.py), so repeated runs
 produce bit-identical results.  A QV whose sums overflow is never
@@ -66,19 +64,16 @@ def _pair_blocks(d: int):
         start += d - 1 - i
 
 
-def _polarization_columns(values: np.ndarray) -> np.ndarray:
-    """The scalar columns polarization needs, as one C-contiguous (k, N) array.
+def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a_i * a_j for i <= j into the packed rows of ``out``: a is (d, ...), out (k, ...).
 
-    Rows 0..d-1 hold x_i and the remaining d(d-1)/2 rows hold x_i + x_j for
-    i < j in ``np.triu_indices`` order, so k = d + d(d-1)/2.
+    The pairs are written before the squares, so ``a`` may be ``out[:d]``.
     """
-    n, d = values.shape
-    cols = np.empty((d + d * (d - 1) // 2, n), dtype=np.float64)
-    cols[:d] = values.T
-    with np.errstate(over="ignore"):  # callers report non-finite entries
-        for i, rows in _pair_blocks(d):
-            np.add(cols[i], cols[i + 1 : d], out=cols[rows])
-    return cols
+    d = a.shape[0]
+    for i, rows in _pair_blocks(d):
+        np.multiply(a[i], a[i + 1 : d], out=out[rows])
+    np.multiply(a, a, out=out[:d])
+    return out
 
 
 def _entry_rows(d: int) -> np.ndarray:
@@ -97,48 +92,39 @@ def _unpack(entries: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def _qv_matrix_arrays(
-    cols: np.ndarray,
-    d: int,
-    partition: PartitionSequence,
-    level: int,
-    out: np.ndarray | None = None,
+def _entry_paths(
+    cols: np.ndarray, partition: PartitionSequence, level: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Packed (k, N) entry paths: [x_i] for i < d, then [x_i, x_j] for i < j.
+    """Packed (k, N) entry paths of the (d, N) columns ``cols``: [x_i] for i < d, then
+    [x_i, x_j] for i < j, into ``out`` when one is given.
 
-    Each row of ``cols`` (:func:`_polarization_columns`) gets the one-component
-    computation, then the pair rows are polarized; the paths go into ``out``,
-    a (k, N) float64 array, when one is given.  Overflow yields non-finite
-    entries without a warning; callers that report entries check them.
+    Overflow yields non-finite entries without a warning; callers that
+    report entries check them.
     """
-    k, n = cols.shape
+    d, n = cols.shape
+    k = d * (d + 1) // 2
     s = partition.stride(level)
     q = (n - 1) // s  # full cells; a partial last cell starts at q * s
     anchors = cols[:, 0 : n - 1 : s]
     cells = anchors.shape[1]
-    sq = np.empty((k, n)) if out is None else out
-    full = sq[:, : q * s].reshape(k, q, s)
-    lvl = np.empty((k, cells + 1))  # 0, then the squared level increments
+    paths = np.empty((k, n)) if out is None else out
+    full = paths[:, : q * s].reshape(k, q, s)
+    steps = paths[:d]  # each grid time's step from its cell's anchor
+    lvl = np.empty((k, cells + 1))  # 0, then the level increments' products
     with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(anchors[:, 1:], anchors[:, :-1], out=lvl[:d, 1:cells])
+        np.subtract(cols[:, n - 1], anchors[:, -1], out=lvl[:d, cells])
+        _pair_products(lvl[:d, 1:], lvl[:, 1:])
         lvl[:, 0] = 0.0
-        np.subtract(anchors[:, 1:], anchors[:, :-1], out=lvl[:, 1:cells])
-        np.subtract(cols[:, n - 1], anchors[:, -1], out=lvl[:, cells])
-        lvl *= lvl
-        # squared distance to the cell's anchor; the endpoint anchors itself
-        np.subtract(cols[:, : q * s].reshape(k, q, s), anchors[:, :q, None], out=full)
-        np.subtract(cols[:, q * s : n - 1], cols[:, q * s : q * s + 1], out=sq[:, q * s : n - 1])
-        np.subtract(cols[:, n - 1], cols[:, n - 1], out=sq[:, n - 1])
-        sq *= sq
         np.cumsum(lvl, axis=1, out=lvl)
+        np.subtract(cols[:, : q * s].reshape(d, q, s), anchors[:, :q, None], out=full[:d])
+        np.subtract(cols[:, q * s : n - 1], cols[:, q * s : q * s + 1], out=steps[:, q * s : n - 1])
+        np.subtract(cols[:, n - 1], cols[:, n - 1], out=steps[:, n - 1])  # anchors itself
+        _pair_products(steps, paths)
         full += lvl[:, :q, None]
-        sq[:, q * s : n - 1] += lvl[:, q : q + 1]
-        sq[:, n - 1] += lvl[:, cells]
-        for i, rows in _pair_blocks(d):  # [x_i + x_j] - [x_i] - [x_j], then halved
-            off = sq[rows]
-            off -= sq[i]
-            off -= sq[i + 1 : d]
-        sq[d:] *= 0.5
-    return sq
+        paths[:, q * s : n - 1] += lvl[:, q : q + 1]
+        paths[:, n - 1] += lvl[:, cells]
+    return paths
 
 
 def _anchored_steps(x: SampledPath, partition: PartitionSequence, level: int):
@@ -210,7 +196,7 @@ def qv_scalar(
     _require_same_grid(x, partition)
     if not 0 <= component < x.d:
         raise ValueError(f"component must lie in [0, {x.d - 1}]")
-    path = _qv_matrix_arrays(x.values[:, component][None, :], 1, partition, level)[0]
+    path = _entry_paths(x.values[:, component][None, :], partition, level)[0]
     _require_finite_term(f"qv_{component + 1}{component + 1}", path, x.times, level)
     if t is None:
         return float(path[-1])
@@ -265,13 +251,13 @@ class QVMatrix:
 def qv_matrix(
     x: SampledPath, partition: PartitionSequence, level: int
 ) -> "QVMatrix":
-    """Full matrix [x_i, x_j]_n on the grid; off-diagonals by polarization.
+    """Full matrix [x_i, x_j]_n on the grid, every entry from its cell's anchor.
 
     A non-finite entry (the sums overflowed) raises DomainError naming the
     entries, the level and the first grid time.
     """
     _require_same_grid(x, partition)
-    entries = _qv_matrix_arrays(_polarization_columns(x.values), x.d, partition, level)
+    entries = _entry_paths(np.ascontiguousarray(x.values.T), partition, level)
     _require_finite(entries, x.d, level, x.times)
     return QVMatrix(times=x.times, entries=entries, level=int(level))
 
@@ -282,8 +268,10 @@ def qv_measures(x: SampledPath, partition: PartitionSequence, level: int) -> Sti
     v, w = _anchored_steps(x, partition, level)
     inc = np.empty((x.d, x.d, x.n_points - 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, j in np.ndindex(x.d, x.d):
-            np.subtract(v[:, i] * v[:, j], w[:, i] * w[:, j], out=inc[i, j])
+        packed = _pair_products(v.T, np.empty((x.d * (x.d + 1) // 2, x.n_points - 1)))
+        packed -= _pair_products(w.T, inc.reshape(x.d * x.d, -1)[: packed.shape[0]])  # scratch
+    for i, rows in enumerate(_entry_rows(x.d)):  # one matrix row at a time
+        inc[i] = packed[rows]
     return StieltjesMeasure(x.times, inc.reshape(x.d * x.d, -1))
 
 
@@ -296,7 +284,7 @@ def qv_converged(
     """Finest-level QV matrix with cross-level convergence diagnostics.
 
     Runs the matrix at every requested level (default: all of them; at
-    least two, strictly increasing), from one set of polarization columns, and
+    least two, strictly increasing), from one (d, N) copy of the columns, and
     records the max-over-time, max-over-entry difference between consecutive
     levels, plus, per grid time, the max-over-entry difference between the
     last two (``last_gap``).  ``converged`` holds iff the last recorded
@@ -307,11 +295,11 @@ def qv_converged(
     if len(levels) < 2:
         raise ValueError("convergence diagnostics need at least two levels")
     _require_same_grid(x, partition)
-    cols = _polarization_columns(x.values)
+    cols = np.ascontiguousarray(x.values.T)
     diffs = []
     prev = spare = gap = None
     for prev_n, n in zip((None,) + levels, levels):
-        entries = _qv_matrix_arrays(cols, x.d, partition, n, out=spare)
+        entries = _entry_paths(cols, partition, n, out=spare)
         _require_finite(entries, x.d, n, x.times)
         if prev is not None:
             gap = _level_gap(entries, prev, 0, (prev_n, n), x.times)

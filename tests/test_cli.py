@@ -13,9 +13,8 @@ import pytest
 
 import pathwise_ito
 from pathwise_ito.cli import cli_main
-from pathwise_ito.paths import load_sampled_path
-from pathwise_ito.qv import qv_scalar
-from pathwise_ito.paths import PartitionSequence
+from pathwise_ito.paths import PartitionSequence, SampledPath, load_sampled_path, write_path_csv
+from pathwise_ito.qv import qv_matrix, qv_scalar
 from pathwise_ito.pathgen import GeneratorSpec, generate
 
 
@@ -172,14 +171,15 @@ def _subprocess_cli(argv):
 
 
 def test_qv_overflow_prints_only_the_error_line(tmp_path):
-    # (1e200)^2 overflows: no warning, no inf/nan table, one error line, exit 1
+    # (1e200)^2 overflows: no warning, no inf/nan table, one error line, exit 1;
+    # qv_12 there is 1e200 * 1, which is finite
     p = tmp_path / "huge.csv"
     p.write_text(OVERFLOW_ROWS)
     out = tmp_path / "qv.csv"
     proc = _subprocess_cli(["qv", "-i", str(p), "--levels", "2", "-o", str(out)])
     assert proc.returncode == 1
     assert proc.stdout == ""
-    assert proc.stderr == "error: non-finite qv_11, qv_12 at level 1, grid time 0.25\n"
+    assert proc.stderr == "error: non-finite qv_11 at level 1, grid time 0.25\n"
     assert not out.exists()
 
 
@@ -202,7 +202,7 @@ def test_qv_overflow_exits_one_at_any_level_count(levels, tmp_path, capsys):
     code, out, err = _run(["qv", "-i", str(p), "--levels", levels], capsys)
     assert code == 1
     assert out == ""
-    assert err == "error: non-finite qv_11, qv_12 at level 1, grid time 0.25\n"
+    assert err == "error: non-finite qv_11 at level 1, grid time 0.25\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -210,7 +210,7 @@ def test_qv_overflow_exits_one_at_any_level_count(levels, tmp_path, capsys):
 def test_qv_overflowing_polarization_sum_prints_only_the_error_line(
     levels, first_bad, tmp_path, capsys
 ):
-    # x1 + x2 = 2e308 overflows while forming the polarization columns
+    # (1e308)^2 and 1e308 * 1e308 overflow in every entry
     p = tmp_path / "sum.csv"
     p.write_text("t,x1,x2\n0,0,0\n0.5,1e308,1e308\n1,0,0\n")
     code, out, err = _run(["qv", "-i", str(p), "--levels", levels], capsys)
@@ -240,28 +240,50 @@ GEN_D5 = str(Path(__file__).parent / "golden" / "gen_d5.csv")
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, levels",
     [
-        (["-i", GEN_D5, "--levels", "1"], 0),
-        (["-i", GEN_D5, "--levels", "2"], 0),
-        (["-i", GEN_D5, "--levels", "3"], 0),
-        (["-i", GEN_D5], 0),
-        (["-i", "mono.csv", "--levels", "4"], 1),
+        (["-i", GEN_D5, "--levels", "1"], 0, [1]),
+        (["-i", GEN_D5, "--levels", "2"], 0, [1, 2]),
+        (["-i", GEN_D5, "--levels", "3"], 0, [2, 3]),
+        (["-i", GEN_D5], 0, [7, 8]),
+        (["-i", "mono.csv", "--levels", "4"], 1, [1]),
+        (["-i", "big.csv", "--levels", "4"], 0, [1, 2, 3, 4]),
     ],
-    ids=["levels1", "levels2", "levels3", "default", "all-levels"],
+    ids=["levels1", "levels2", "levels3", "default", "all-levels", "all-levels-finite"],
 )
-def test_qv_forms_the_polarization_columns_once(argv, code, tmp_path, capsys, monkeypatch):
-    # the two-level route and the all-levels route (MONOTONE_ROWS can
-    # overflow) each share one set of x_i and x_i + x_j columns
+def test_qv_runs_one_anchored_step_pass_per_level(argv, code, levels, tmp_path, capsys,
+                                                  monkeypatch):
+    # the two-level route runs levels L - 1 and L; the all-levels route
+    # (16 N max|x|^2 passes 2^1000) runs every level until one overflows
     from pathwise_ito import qv
 
     (tmp_path / "mono.csv").write_text(MONOTONE_ROWS)
+    x = load_sampled_path(GEN_D5)
+    write_path_csv(SampledPath(x.times, x.values * 1e150), str(tmp_path / "big.csv"))
     monkeypatch.chdir(tmp_path)
-    calls = []
-    real = qv._polarization_columns
-    monkeypatch.setattr(qv, "_polarization_columns", lambda v: calls.append(1) or real(v))
+    runs = []
+    real = qv._entry_paths
+    monkeypatch.setattr(qv, "_entry_paths",
+                        lambda cols, part, level, out=None: runs.append(level)
+                        or real(cols, part, level, out))
     assert _run(["qv"] + argv, capsys)[0] == code
-    assert len(calls) == 1
+    assert runs == levels
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_qv_gives_a_constant_path_near_the_float_maximum_a_zero_qv(tmp_path, capsys):
+    # x1 + x2 = 1.8e308 overflows, but no step from an anchor does: every
+    # entry, and the whole table, is 0
+    p = tmp_path / "flat.csv"
+    p.write_text("t,x1,x2\n0,9e307,9e307\n0.5,9e307,9e307\n1,9e307,9e307\n")
+    x = load_sampled_path(str(p))
+    part = PartitionSequence(x.times, num_levels=1)
+    assert not np.any(qv_matrix(x, part, 1).entries)
+    code, out, err = _run(["qv", "-i", str(p)], capsys)
+    assert code == 0
+    _, rows = _rows(out)
+    assert [row[1:] for row in rows] == [["0", "0", "0", "0"]] * 3
+    assert err == "converged: n/a (need at least 3 levels)\n"
 
 
 def test_qv_missing_input_is_an_io_error(capsys, tmp_path):

@@ -13,8 +13,8 @@ To pin a deliberate change of summation order, run
     PYTHONPATH=src python tests/test_golden.py --repin NAME...
 
 which rewrites each named file from the command lines below and prints its
-largest absolute and relative cell change against the old bytes; state the
-deviation bound in CHANGES.md.
+largest absolute and relative cell change against the old bytes and the
+header columns whose bytes changed; state the deviation bound in CHANGES.md.
 """
 import argparse
 import contextlib
@@ -144,6 +144,24 @@ def _cell_change(old: bytes, new: bytes) -> tuple[float, float]:
     return worst_abs, worst_rel
 
 
+def _changed_columns(old: bytes, new: bytes) -> list[str]:
+    """The header names of the columns whose cells differ in any byte."""
+    old_rows, new_rows = _cells(old), _cells(new)
+    if old_rows[0] != new_rows[0] or len(old_rows) != len(new_rows):
+        raise ValueError("the table's layout changed")
+    return [name for k, name in enumerate(old_rows[0])
+            if any(a[k] != b[k] for a, b in zip(old_rows[1:], new_rows[1:]))]
+
+
+def test_changed_columns_names_each_column_with_a_moved_byte():
+    old = b"t,qv_11,qv_12,level_diff\r\n0,0,0,0\r\n0.5,1,0.25,0\r\n1,2,0.5,1e-17\r\n"
+    new = b"t,qv_11,qv_12,level_diff\r\n0,0,0,0\r\n0.5,1,0.25000000000000006,0\r\n1,2,0.5,2e-17\r\n"
+    assert _changed_columns(old, new) == ["qv_12", "level_diff"]
+    assert _changed_columns(old, old) == []
+    with pytest.raises(ValueError):
+        _changed_columns(old, new.replace(b"qv_12", b"qv_21"))
+
+
 def repin(names: list[str]) -> None:
     """Rewrite the named goldens from CASES and print each file's cell change."""
     for name in names:
@@ -157,8 +175,11 @@ def repin(names: list[str]) -> None:
         if old is None:
             print(f"{name}: new")
         else:
-            worst_abs, worst_rel = _cell_change(old, target.read_bytes())
-            print(f"{name}: max abs change {worst_abs:.3e}, max rel change {worst_rel:.3e}")
+            new = target.read_bytes()
+            worst_abs, worst_rel = _cell_change(old, new)
+            moved = ", ".join(_changed_columns(old, new)) or "none"
+            print(f"{name}: max abs change {worst_abs:.3e}, max rel change {worst_rel:.3e}, "
+                  f"changed columns: {moved}")
 
 
 if __name__ == "__main__":

@@ -300,9 +300,9 @@ def test_formula_report_with_clock_term():
 
 @pytest.mark.parametrize("levels", [None, (3, 5, 8)])
 def test_formula_report_runs_one_qv_pass_per_level(levels, monkeypatch):
-    # one set of anchored steps a level, and no polarized QV paths
+    # one set of anchored steps a level, and no QV entry paths
     x, part = _brownian(exponent=8)
-    real_steps, real_paths = ito_module._anchored_steps, qv_module._qv_matrix_arrays
+    real_steps, real_paths = ito_module._anchored_steps, qv_module._entry_paths
     passes, paths = [], []
 
     def counted(x_, partition, level):
@@ -310,7 +310,7 @@ def test_formula_report_runs_one_qv_pass_per_level(levels, monkeypatch):
         return real_steps(x_, partition, level)
 
     monkeypatch.setattr(ito_module, "_anchored_steps", counted)
-    monkeypatch.setattr(qv_module, "_qv_matrix_arrays",
+    monkeypatch.setattr(qv_module, "_entry_paths",
                         lambda *args, **kwargs: paths.append(1) or real_paths(*args, **kwargs))
     rep = ito_formula_report(_square_functional(), x, None, part, levels)
     assert passes == list(rep.levels)
@@ -784,20 +784,20 @@ def test_corollary_report_keeps_its_bits():
     "level, pins",
     [
         (7, {
-            "residuals": ["0x1.38e225b0bc150p-5", "0x1.98f054de2b818p-6",
-                          "0x1.98f054de2b818p-6", "0x1.465a83924fa70p-6"],
+            "residuals": ["0x1.38e225b0bc150p-5", "0x1.98f054de2b800p-6",
+                          "0x1.98f054de2b800p-6", "0x1.465a83924fa70p-6"],
             "relative": ["0x1.532cdec273877p-4"],
-            "direct_final": ["0x1.d84fad76699dep-2", "0x1.0891145d1e556p-2",
-                             "0x1.0891145d1e556p-2", "0x1.a0e721ccb51d5p-2"],
+            "direct_final": ["0x1.d84fad76699dep-2", "0x1.0891145d1e55ep-2",
+                             "0x1.0891145d1e55ep-2", "0x1.a0e721ccb51d5p-2"],
         }),
         # at the grid's own level the identity holds up to rounding, so these
         # residuals record the weighted sums' order to the last bit
         (9, {
-            "residuals": ["0x1.0000000000000p-55", "0x1.c000000000000p-51",
-                          "0x1.c000000000000p-51", "0x1.8000000000000p-53"],
-            "relative": ["0x1.6fc016f598b98p-50"],
-            "direct_final": ["0x1.37dd1e20ee977p-1", "0x1.966bdb823cc06p-2",
-                             "0x1.966bdb823cc06p-2", "0x1.0422a8e21ead2p-1"],
+            "residuals": ["0x1.0000000000000p-55", "0x1.0000000000000p-53",
+                          "0x1.0000000000000p-53", "0x1.8000000000000p-53"],
+            "relative": ["0x1.3b36ef1ba77a7p-52"],
+            "direct_final": ["0x1.37dd1e20ee977p-1", "0x1.966bdb823cc00p-2",
+                             "0x1.966bdb823cc00p-2", "0x1.0422a8e21ead2p-1"],
         }),
     ],
 )

@@ -1,13 +1,17 @@
-"""Differential tests: batched polarization against the per-column reference.
+"""Differential tests: the packed QV entry paths against per-entry references.
 
-The library runs every QV column (x_i, and x_i + x_j for i < j) of a level
-in one set of array operations.  The reference below is the one-column
-computation, looped over the columns and polarized entry by entry; the
-batch must give the same bits for the matrix paths, the convergence
-diagnostics and the ``qv`` command's table.  The per-cell increments of
-``qv_measures`` are the rank-two v v^T - w w^T of each base cell's steps
-from its anchor, checked entry by entry against steps whose anchors are
-found by search.
+The library runs every QV entry of a level in one set of array operations.
+The references below are written entry by entry from the definition: the
+diagonal [x_i] is the one-column sum of squared level increments plus the
+squared step from the cell's anchor, and the entry [x_i, x_j] is the
+running sum, from +0.0, of the level increments' products plus the product
+of the two steps from the anchor.  The batch must give the same bits for
+the matrix paths, the convergence diagnostics and the ``qv`` command's
+table.  The polarized ([x_i + x_j] - [x_i] - [x_j]) / 2 of the same sums
+agrees with the off-diagonals to within their a-priori rounding bounds.
+The per-cell increments of ``qv_measures`` are the rank-two v v^T - w w^T
+of each base cell's steps from its anchor, checked entry by entry against
+steps whose anchors are found by search.
 """
 
 import contextlib
@@ -30,8 +34,7 @@ from pathwise_ito.paths import (
     write_path_csv,
 )
 from pathwise_ito.qv import (
-    _polarization_columns,
-    _qv_matrix_arrays,
+    _entry_paths,
     _unpack,
     qv_converged,
     qv_matrix,
@@ -39,6 +42,7 @@ from pathwise_ito.qv import (
     qv_scalar,
 )
 from pathwise_ito.reduction import running_sum
+from rounding import rounding_bound
 
 
 def _scalar_qv_path(values, partition, level):
@@ -52,18 +56,70 @@ def _scalar_qv_path(values, partition, level):
     return cum[pos] + anchored * anchored
 
 
+def _anchors(n_points, partition, level):
+    """Each grid time's cell anchor, as an index into the level's partition points."""
+    idx = partition.indices(level)
+    return idx, np.searchsorted(idx, np.arange(n_points), side="right") - 1
+
+
+def _entry_qv_path(xi, xj, partition, level):
+    """[x_i, x_j] per grid time: L(s) + (x_i(u) - x_i(s)) (x_j(u) - x_j(s)), with L the
+    running sum of the level increments' products from a +0.0 start."""
+    idx, pos = _anchors(xi.shape[0], partition, level)
+    cum = np.cumsum(np.concatenate([[0.0], np.diff(xi[idx]) * np.diff(xj[idx])]))
+    return cum[pos] + (xi - xi[idx][pos]) * (xj - xj[idx][pos])
+
+
 def _reference_matrix_paths(x, partition, level):
-    """(N, d, d) paths, one column at a time."""
+    """(N, d, d) paths, one entry at a time."""
     n, d = x.values.shape
     mats = np.empty((n, d, d))
-    diag = [_scalar_qv_path(x.values[:, i], partition, level) for i in range(d)]
     for i in range(d):
-        mats[:, i, i] = diag[i]
-    for i in range(d):
+        mats[:, i, i] = _scalar_qv_path(x.values[:, i], partition, level)
         for j in range(i + 1, d):
-            p_sum = _scalar_qv_path(x.values[:, i] + x.values[:, j], partition, level)
-            mats[:, i, j] = mats[:, j, i] = 0.5 * (p_sum - diag[i] - diag[j])
+            mats[:, i, j] = mats[:, j, i] = _entry_qv_path(
+                x.values[:, i], x.values[:, j], partition, level
+            )
     return mats
+
+
+def _polarized_entry_path(xi, xj, partition, level):
+    """([x_i + x_j] - [x_i] - [x_j]) / 2 from the one-column sums."""
+    p_sum = _scalar_qv_path(xi + xj, partition, level)
+    p_i, p_j = _scalar_qv_path(xi, partition, level), _scalar_qv_path(xj, partition, level)
+    return 0.5 * (p_sum - p_i - p_j)
+
+
+def _entry_gap_bound(xi, xj, partition, level):
+    """A-priori bound on |anchored - polarized| for [x_i, x_j] at every grid time.
+
+    Both are within rounding of the exact L(s) + a_i a_j, a = x(u) - x(s), a
+    sum of m terms: the level increments before u and the step from the
+    anchor.  With D a term's exact increment and S the sum of |x_i| + |x_j|
+    at its two ends (tests/rounding.py's model):
+
+    * anchored: a product D_i D_j is formed with three roundings and enters
+      the sum through at most m additions: gamma_(m+3) sum |D_i D_j|;
+    * polarized: the column x_i + x_j rounds once a grid time, which moves a
+      term of [x_i + x_j] by at most 2 gamma_5 S^2 (|D_i + D_j| <= S); with
+      the one-column sums, the two subtractions and the halving, the entry
+      is within gamma_(m+8) sum (2 S^2 + D_i^2 + D_j^2).
+
+    Taking every level increment and the largest step covers each grid
+    time.  Forming the terms here adds 3 and 9 roundings, the gap's
+    subtraction one more.
+    """
+    idx, pos = _anchors(xi.shape[0], partition, level)
+    s = np.abs(xi) + np.abs(xj)
+    inc_i, inc_j, ends = np.diff(xi[idx]), np.diff(xj[idx]), s[idx]
+    step_i, step_j = xi - xi[idx][pos], xj - xj[idx][pos]
+    m = inc_i.shape[0] + 1
+    anchored = np.append(np.abs(inc_i * inc_j), np.max(np.abs(step_i * step_j)))
+    polarized = np.append(
+        2.0 * (ends[1:] + ends[:-1]) ** 2 + inc_i**2 + inc_j**2,
+        np.max(2.0 * (s + ends[pos]) ** 2 + step_i**2 + step_j**2),
+    )
+    return rounding_bound(anchored, m + 3 + 3 + 1) + rounding_bound(polarized, m + 8 + 9 + 1)
 
 
 def _steps_by_search(x, partition, level):
@@ -140,13 +196,12 @@ def _paths(draw, scales=(1e-3, 1.0, 1e3)):
 def test_batched_qv_matches_the_per_column_reference(case):
     x, num_levels = case
     part = PartitionSequence(x.times, num_levels)
-    cols = _polarization_columns(x.values)
-    assert cols.flags.c_contiguous and cols.shape == (x.d * (x.d + 1) // 2, x.n_points)
+    cols = np.ascontiguousarray(x.values.T)
     refs = {}
     for level in range(1, num_levels + 1):
         ref_mats = _reference_matrix_paths(x, part, level)
         refs[level] = ref_mats
-        assert _same_bits(_unpack(_qv_matrix_arrays(cols, x.d, part, level), x.d), ref_mats)
+        assert _same_bits(_unpack(_entry_paths(cols, part, level), x.d), ref_mats)
         assert _same_bits(qv_matrix(x, part, level).matrices, ref_mats)
         rows = qv_measures(x, part, level).increments  # row i * d + j: d[x_i, x_j]
         assert _same_bits(rows, _rank_two_measure_loop(x, part, level))
@@ -158,6 +213,21 @@ def test_batched_qv_matches_the_per_column_reference(case):
         diffs = [np.max(np.abs(refs[n] - refs[n - 1])) for n in range(2, num_levels + 1)]
         assert _same_bits(rep.level_diffs, diffs)
         assert _same_bits(rep.last_gap, _triangle_gap(refs[num_levels], refs[num_levels - 1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_paths())
+def test_off_diagonals_agree_with_polarization_within_their_rounding_bound(case):
+    x, num_levels = case
+    part = PartitionSequence(x.times, num_levels)
+    for level in range(1, num_levels + 1):
+        qv = qv_matrix(x, part, level)
+        for i in range(x.d):
+            for j in range(i + 1, x.d):
+                xi, xj = x.values[:, i], x.values[:, j]
+                polarized = _polarized_entry_path(xi, xj, part, level)
+                gap = np.max(np.abs(qv.entry_path(i, j) - polarized))
+                assert gap <= _entry_gap_bound(xi, xj, part, level), (level, i, j)
 
 
 def _qv_command(x, num_levels):

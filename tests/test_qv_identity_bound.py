@@ -10,11 +10,10 @@ then rounding from three places, each bounded a priori (tests/rounding.py):
   product, plus the rounding of the running sum, at most u |S_i| with
   S_i = Y_i(u) + t_i.  So dY_i dY_j - t_i t_j is within gamma_(2d+1) of
   (3 A_i + |Y_i(u)|)(3 A_j + |Y_j(u)|) per cell, A_i = sum_k |xi_ik v_k|.
-* The polarized [Y] sums.  A diagonal cell is dY^2 through three roundings;
-  an off-diagonal one is half of (dC)^2 - dY_i^2 - dY_j^2 with the column
-  C = Y_i + Y_j rounded once at each grid time, so its terms are bounded by
-  half of (|C(u')| + |C(u)|)^2 + dY_i^2 + dY_j^2 through seven roundings
-  with the two subtractions of polarization.
+* The [Y] sums.  At the grid's own level every grid time is a partition
+  point, so a cell of [Y_i, Y_j] is the one product dY_i dY_j of the float
+  differences, through three roundings (two subtractions and the product),
+  and the step from the anchor adds an exact 0.
 * The rank-two weighted sums: (xi_i . v)(xi_j . v) - (xi_i . w)(xi_j . w),
   within gamma_(2d+2) of A_i A_j + A^w_i A^w_j per cell.
 
@@ -94,13 +93,8 @@ def _bounds(xis, x, part, level):
                 (3.0 * a_v[i] + np.abs(y[i, :-1])) * (3.0 * a_v[j] + np.abs(y[j, :-1])),
                 (2 * d + 1) + (2 * d + 5) + 1,
             )
-            if i == j:
-                polarized = rounding_bound(dy[i] ** 2, later + 3 + 2 + 1)
-            else:
-                c = np.abs(y[i]) + np.abs(y[j])  # at least |C|
-                terms = 0.5 * ((c[1:] + c[:-1]) ** 2 + dy[i] ** 2 + dy[j] ** 2)
-                polarized = rounding_bound(terms, later + 7 + 5 + 1)
-            out[i, j] = out[j, i] = weighted + y_sums + polarized
+            direct = rounding_bound(np.abs(dy[i] * dy[j]), later + 3 + 3 + 1)
+            out[i, j] = out[j, i] = weighted + y_sums + direct
     return out
 
 
