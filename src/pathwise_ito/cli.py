@@ -103,7 +103,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_qv(args) -> int:
-    from .qv import _entry_rows, _table_pairs, qv_converged, qv_matrix
+    from .qv import _entry_names, qv_converged, qv_matrix
 
     x = load_sampled_path(args.input)
     levels = args.levels if args.levels is not None else default_num_levels(x.n_points)
@@ -119,13 +119,11 @@ def _cmd_qv(args) -> int:
         entries, level_diff = rep.entries, rep.last_gap
     else:
         entries, level_diff = qv_matrix(x, part, levels).entries, np.zeros(x.n_points)
-    pairs = _table_pairs(x.d)
-    rows, cols = zip(*pairs)
-    table = np.empty((x.n_points, len(pairs) + 2))
+    table = np.empty((x.n_points, entries.shape[0] + 2))
     table[:, 0] = x.times
-    table[:, 1:-1] = entries[_entry_rows(x.d)[rows, cols]].T
+    table[:, 1:-1] = entries.T
     table[:, -1] = level_diff
-    header = ["t"] + [f"qv_{i + 1}{j + 1}" for i, j in pairs] + ["level_diff"]
+    header = ["t", *_entry_names(x.d), "level_diff"]
     with _open_output(_resolve_dest(args, None)) as fh:
         _write_table(fh, header, table)
     if levels >= 3:

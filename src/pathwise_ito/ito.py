@@ -46,11 +46,12 @@ from .paths import (
     SampledPath,
     _frozen_from,
     _grid_index,
+    _require_finite,
     _require_same_grid,
     _stepped,
     concat_components,
 )
-from .qv import _anchored_steps, _entry_rows, _pair_products, _require_finite_term, qv_matrix
+from .qv import _anchored_steps, _entry_rows, _pair_products, qv_matrix
 from .reduction import map_chunked, ordered_dot, running_sum
 from .stieltjes import cumulative_stieltjes, measures_with_clock
 
@@ -175,7 +176,7 @@ def ito_integral(
         xi_rows = xi_grid[idx[:-1]] if at_lefts is not None else per_cell[n]
         with np.errstate(invalid="ignore", over="ignore"):
             at_points = running_sum(ordered_dot(xi_rows, dx))
-        _require_finite_term("ito term xi . dX", at_points[1:], pts, n)
+        _require_finite("ito term xi . dX", at_points[1:], pts, f"at level {n}")
         values[row] = np.interp(x.times, pts, at_points)
         values[row, idx] = at_points
         interp[row] = True
@@ -289,10 +290,11 @@ def ito_formula_report(
     ito_at_T = ito_integral(AdmissibleIntegrand(F, a), x, partition, lv).values[:, -1].copy()
     (horiz,), qvs = _compensator([F], x, a, partition, lv)
     # F(t) - F(0) turns non-finite at 0 if F(0) is, else at T
-    _require_finite_term("lhs term F(T) - F(0)", np.array([F_0, lhs]), x.times[[0, -1]], lv[0])
-    _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, lv[0])
+    first = f"at level {lv[0]}"
+    _require_finite("lhs term F(T) - F(0)", np.array([F_0, lhs]), x.times[[0, -1]], first)
+    _require_finite("horizontal term DF . d(t, A)", horiz, x.times, first)
     for n, (qv,) in zip(lv, qvs):
-        _require_finite_term("qv term 1/2 D2F : d[X]", qv, x.times, n)
+        _require_finite("qv term 1/2 D2F : d[X]", qv, x.times, f"at level {n}")
     qv_at_T = qvs[:, 0, -1].copy()
     residuals = lhs - (ito_at_T + horiz[-1] + qv_at_T)
     for arr in (ito_at_T, qv_at_T, residuals):
@@ -476,7 +478,8 @@ def augment(
     with np.errstate(invalid="ignore", over="ignore"):
         cols = np.column_stack([h + q for h, q in zip(horiz, qv)])
     for ell, F in enumerate(f_vec):
-        _require_finite_term(f"compensator a{m + ell + 1} of {F.name}", cols[:, ell], x.times, level)
+        name = f"compensator a{m + ell + 1} of {F.name}"
+        _require_finite(name, cols[:, ell], x.times, f"at level {level}")
     base = a if a is not None else BVPath.empty(x.times)
     a_tilde = concat_components(base, BVPath(x.times, cols))
     constants = np.array([F.evaluate(0.0, x, a) for F in f_vec])
@@ -656,9 +659,9 @@ def corollary_decomposition(
     with np.errstate(invalid="ignore", over="ignore"):  # summed in functional order onto +0.0
         horiz = sum(horizs, np.zeros(x.n_points))
         qvs = [sum(qv, np.zeros(x.n_points)) for qv in qvs]
-    _require_finite_term("horizontal term DF . d(t, A)", horiz, x.times, lv[0])
+    _require_finite("horizontal term DF . d(t, A)", horiz, x.times, f"at level {lv[0]}")
     for n, qv in zip(lv, qvs):
-        _require_finite_term("qv term 1/2 D2F : d[X]", qv, x.times, n)
+        _require_finite("qv term 1/2 D2F : d[X]", qv, x.times, f"at level {n}")
     qv_T = np.array([qv[-1] for qv in qvs])
     residuals = np.abs(lhs_T - (ito_T + horiz[-1] + qv_T))
     ratios = _residual_ratios(residuals)

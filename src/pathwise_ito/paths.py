@@ -40,6 +40,22 @@ class DomainError(ValueError):
     """A path value lies outside its configured open domain."""
 
 
+def _require_finite(
+    names: str | Sequence[str], values: np.ndarray, times: np.ndarray, where: str
+) -> None:
+    """DomainError naming, at the first grid time with a non-finite value, every term
+    non-finite there: ``values`` is one (N,) path named ``names``, or (k, N) paths named
+    by the k ``names``; ``where`` is the caller's "at level n" or "between levels a and b"."""
+    ok = np.isfinite(values)
+    if ok.all():
+        return
+    ok = ok.reshape(-1, ok.shape[-1])
+    k = int(np.argmin(ok.all(axis=0)))
+    names = [names] if isinstance(names, str) else names
+    bad = ", ".join(name for name, good in zip(names, ok[:, k]) if not good)
+    raise DomainError(f"non-finite {bad} {where}, grid time {float(times[k])}")
+
+
 class GridError(ValueError):
     """Incompatible grids, or a time that is not a grid point."""
 

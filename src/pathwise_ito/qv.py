@@ -21,10 +21,11 @@ increments.  A diagonal is the scalar sum above, and over a base cell
 [u, u'] an entry grows by the rank-two v_i v_j - w_i w_j, v = x(u') - x(s)
 and w = x(u) - x(s) (:func:`_anchored_steps`); the Ito compensator, the QV
 identity for Y and :func:`qv_measures` use these increments.  Every product
-a_i a_j is written by :func:`_pair_products` in the packed layout: the d
-diagonal rows, then the pairs i < j in ``np.triu_indices`` order.  A
-:class:`QVMatrix` keeps this (k, N) layout, k = d(d + 1)/2, and builds its
-(N, d, d) ``matrices`` only when they are read.
+a_i a_j, i <= j, is written by :func:`_pair_products` into one packed (k, N)
+layout, k = d(d + 1)/2: the upper triangle row by row (``np.triu_indices``
+order), which is the order of the ``qv`` table's columns.  A
+:class:`QVMatrix` keeps this layout and builds its (N, d, d) ``matrices``
+only when they are read.
 
 A level allocates no (k, N) temporaries beyond its output.  The anchors
 0, s, 2s, ... of stride s are the strided view ``cols[:, 0:N-1:s]``, not a
@@ -44,44 +45,49 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .paths import DomainError, PartitionSequence, SampledPath, _grid_position, _require_same_grid
-from .stieltjes import StieltjesMeasure
+from .paths import (
+    PartitionSequence,
+    SampledPath,
+    _grid_position,
+    _require_finite,
+    _require_same_grid,
+)
 
-
-def _pair_blocks(d: int):
-    """(i, rows) for each i < d - 1: the packed rows of the pairs (i, j > i).
-
-    Pairs are packed after the d diagonal rows in ``np.triu_indices``
-    order, so the pairs of one i fill a contiguous block whose j run
-    i + 1 .. d - 1.
-    """
-    start = d
-    for i in range(d - 1):
-        yield i, slice(start, start + d - 1 - i)
-        start += d - 1 - i
+if TYPE_CHECKING:
+    from .stieltjes import StieltjesMeasure
 
 
 def _pair_products(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a_i * a_j for i <= j into the packed rows of ``out``: a is (d, ...), out (k, ...).
 
-    The pairs are written before the squares, so ``a`` may be ``out[:d]``.
+    Matrix rows d - 1 .. 1 are written first, all into packed rows >= d, then row 0's
+    pairs into packed rows 1 .. d - 1 and the (0, 0) square last, so ``a`` may be
+    ``out[:d]``.
     """
     d = a.shape[0]
-    for i, rows in _pair_blocks(d):
-        np.multiply(a[i], a[i + 1 : d], out=out[rows])
-    np.multiply(a, a, out=out[:d])
+    for i in range(d - 1, 0, -1):
+        start = i * d - i * (i - 1) // 2  # row i's block: the pairs (i, j >= i)
+        np.multiply(a[i], a[i:], out=out[start : start + d - i])
+    np.multiply(a[0], a[1:], out=out[1:d])
+    np.multiply(a[0], a[0], out=out[0])
     return out
 
 
 def _entry_rows(d: int) -> np.ndarray:
     """(d, d) map from a matrix entry to its row in the packed entry layout."""
-    rows = np.diag(np.arange(d))
-    for i, block in _pair_blocks(d):
-        rows[i, i + 1 :] = rows[i + 1 :, i] = np.arange(block.start, block.stop)
+    i, j = np.triu_indices(d)
+    rows = np.empty((d, d), dtype=np.intp)
+    rows[i, j] = rows[j, i] = np.arange(i.shape[0])
     return rows
+
+
+def _entry_names(d: int) -> list[str]:
+    """qv_ij for each packed row, in row order."""
+    return [f"qv_{i + 1}{j + 1}" for i, j in zip(*np.triu_indices(d))]
 
 
 def _unpack(entries: np.ndarray, d: int) -> np.ndarray:
@@ -95,8 +101,8 @@ def _unpack(entries: np.ndarray, d: int) -> np.ndarray:
 def _entry_paths(
     cols: np.ndarray, partition: PartitionSequence, level: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Packed (k, N) entry paths of the (d, N) columns ``cols``: [x_i] for i < d, then
-    [x_i, x_j] for i < j, into ``out`` when one is given.
+    """Packed (k, N) entry paths [x_i, x_j], i <= j, of the (d, N) columns ``cols``, into
+    ``out`` when one is given.
 
     Overflow yields non-finite entries without a warning; callers that
     report entries check them.
@@ -140,51 +146,6 @@ def _anchored_steps(x: SampledPath, partition: PartitionSequence, level: int):
     return v, w
 
 
-def _table_pairs(d: int) -> list[tuple[int, int]]:
-    """Upper-triangle entries (i <= j) in table order: row by row."""
-    return [(i, j) for i in range(d) for j in range(i, d)]
-
-
-def _require_finite_term(name: str, path: np.ndarray, times: np.ndarray, level: int) -> None:
-    """DomainError naming the first grid time at which a term's running path is non-finite."""
-    bad = np.flatnonzero(~np.isfinite(path))
-    if bad.shape[0]:
-        raise DomainError(f"non-finite {name} at level {level}, grid time {float(times[bad[0]])}")
-
-
-def _require_finite(entries: np.ndarray, d: int, level: int, times: np.ndarray) -> None:
-    """DomainError naming the non-finite entries at their first grid time."""
-    ok = np.isfinite(entries)
-    if ok.all():
-        return
-    k = int(np.argmin(ok.all(axis=0)))  # first grid time with a bad entry
-    rows = _entry_rows(d)
-    names = ", ".join(
-        f"qv_{i + 1}{j + 1}" for i, j in _table_pairs(d) if not ok[rows[i, j], k]
-    )
-    raise DomainError(f"non-finite {names} at level {level}, grid time {float(times[k])}")
-
-
-def _level_gap(
-    new: np.ndarray, old: np.ndarray, axis, levels: tuple[int, int], times: np.ndarray
-) -> np.ndarray:
-    """Per grid time, the largest |new - old| over the entry axes.
-
-    ``old`` is overwritten with |new - old|.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(new, old, out=old)
-        gap = np.max(np.abs(old, out=old), axis=axis)
-    ok = np.isfinite(gap)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise DomainError(
-            f"non-finite level_diff between levels {levels[0]} and {levels[1]}, "
-            f"grid time {float(times[k])}"
-        )
-    return gap
-
-
 def qv_scalar(
     x: SampledPath,
     partition: PartitionSequence,
@@ -197,7 +158,7 @@ def qv_scalar(
     if not 0 <= component < x.d:
         raise ValueError(f"component must lie in [0, {x.d - 1}]")
     path = _entry_paths(x.values[:, component][None, :], partition, level)[0]
-    _require_finite_term(f"qv_{component + 1}{component + 1}", path, x.times, level)
+    _require_finite(f"qv_{component + 1}{component + 1}", path, x.times, f"at level {level}")
     if t is None:
         return float(path[-1])
     return float(path[x.grid_index(t)])
@@ -258,13 +219,15 @@ def qv_matrix(
     """
     _require_same_grid(x, partition)
     entries = _entry_paths(np.ascontiguousarray(x.values.T), partition, level)
-    _require_finite(entries, x.d, level, x.times)
+    _require_finite(_entry_names(x.d), entries, x.times, f"at level {level}")
     return QVMatrix(times=x.times, entries=entries, level=int(level))
 
 
 def qv_measures(x: SampledPath, partition: PartitionSequence, level: int) -> StieltjesMeasure:
     """The matrix-valued measure d[x]_n: row i * d + j holds d[x_i, x_j]_n, over each
     base cell the rank-two v_i v_j - w_i w_j of :func:`_anchored_steps`."""
+    from .stieltjes import StieltjesMeasure
+
     v, w = _anchored_steps(x, partition, level)
     inc = np.empty((x.d, x.d, x.n_points - 1))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -296,13 +259,16 @@ def qv_converged(
         raise ValueError("convergence diagnostics need at least two levels")
     _require_same_grid(x, partition)
     cols = np.ascontiguousarray(x.values.T)
+    names = _entry_names(x.d)
     diffs = []
     prev = spare = gap = None
     for prev_n, n in zip((None,) + levels, levels):
         entries = _entry_paths(cols, partition, n, out=spare)
-        _require_finite(entries, x.d, n, x.times)
-        if prev is not None:
-            gap = _level_gap(entries, prev, 0, (prev_n, n), x.times)
+        _require_finite(names, entries, x.times, f"at level {n}")
+        if prev is not None:  # the gap is computed in the older buffer
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = np.max(np.abs(np.subtract(entries, prev, out=prev), out=prev), axis=0)
+            _require_finite("level_diff", gap, x.times, f"between levels {prev_n} and {n}")
             diffs.append(float(np.max(gap)))
         spare, prev = prev, entries  # the two (k, N) buffers alternate
     level_diffs = np.asarray(diffs)

@@ -79,8 +79,6 @@ def test_gen_and_qv_import_only_what_they_run(tmp_path):
         "pathwise_ito.pathgen",
         "pathwise_ito.paths",
         "pathwise_ito.qv",
-        "pathwise_ito.reduction",
-        "pathwise_ito.stieltjes",
     ]
     assert report["not_in_dir"] == []
     assert report["not_bound"] == []

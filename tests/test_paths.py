@@ -18,6 +18,7 @@ from pathwise_ito.paths import (
     PathFormatError,
     STEP,
     SampledPath,
+    _require_finite,
     concat_components,
     default_output_dir,
     load_bv_path,
@@ -239,6 +240,22 @@ def test_box_domain_is_strictly_open():
     orth = positive_orthant(2)
     with pytest.raises(DomainError):
         SampledPath(_grid(3), np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0]]), domain=orth)
+
+
+def test_require_finite_names_every_bad_term_at_the_first_bad_grid_time():
+    times = _grid(5)
+    paths = np.zeros((3, 5))
+    paths[2, 1:] = paths[0, 3] = np.inf
+    paths[1, 2] = np.nan
+    _require_finite(["a", "b", "c"], np.zeros((3, 5)), times, "at level 2")
+    message = r"^non-finite c at level 2, grid time 0\.25$"
+    with pytest.raises(DomainError, match=message):
+        _require_finite(["a", "b", "c"], paths, times, "at level 2")
+    with pytest.raises(DomainError, match=r"^non-finite a, c at level 1, grid time 0\.75$"):
+        _require_finite(["a", "b", "c"], paths[:, 3:], times[3:], "at level 1")
+    message = r"^non-finite level_diff between levels 3 and 4, grid time 0\.5$"
+    with pytest.raises(DomainError, match=message):
+        _require_finite("level_diff", paths[1], times, "between levels 3 and 4")
 
 
 def test_a_domain_must_be_a_box():

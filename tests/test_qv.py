@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from pathwise_ito.cli import cli_main
 from pathwise_ito.paths import (
     DomainError,
     GridError,
@@ -15,7 +17,15 @@ from pathwise_ito.paths import (
     default_num_levels,
     load_sampled_path,
 )
-from pathwise_ito.qv import _anchored_steps, qv_converged, qv_matrix, qv_measures, qv_scalar
+from pathwise_ito.qv import (
+    _anchored_steps,
+    _entry_rows,
+    _pair_products,
+    qv_converged,
+    qv_matrix,
+    qv_measures,
+    qv_scalar,
+)
 from pathwise_ito.reduction import running_sum
 
 # 300 points: no stride divides the 299 cells, so every level ends in a
@@ -196,6 +206,43 @@ def test_qv_scalar_raises_on_overflow_like_qv_matrix():
             message = rf"^non-finite {entry} at level {level}, grid time 0\.5$"
             with pytest.raises(DomainError, match=message):
                 qv_scalar(x, part, level, t=t, component=component)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 16])
+def test_entries_are_stored_in_the_qv_tables_column_order(d, tmp_path, capsys):
+    k = d * (d + 1) // 2
+    assert np.array_equal(_entry_rows(d)[np.triu_indices(d)], np.arange(k))
+    path, table = tmp_path / "x.csv", tmp_path / "qv.csv"
+    gen = ["gen", "--kind", "brownian", "--n", "64", "--d", str(d), "--seed", str(d)]
+    assert cli_main(gen + ["-o", str(path)]) == 0
+    assert cli_main(["qv", "-i", str(path), "-o", str(table)]) == 0
+    capsys.readouterr()
+    x = load_sampled_path(path)
+    n = default_num_levels(x.n_points)
+    stored = qv_converged(x, PartitionSequence(x.times, n), levels=(n - 1, n)).entries
+    header = table.read_text().splitlines()[0].split(",")
+    assert header[1:-1] == [f"qv_{i + 1}{j + 1}" for i in range(d) for j in range(i, d)]
+    columns = np.loadtxt(table, delimiter=",", skiprows=1, ndmin=2)[:, 1:-1]
+    assert columns.T.tobytes() == stored.tobytes()
+
+
+@st.composite
+def _step_blocks(draw):
+    d = draw(st.integers(min_value=1, max_value=16))
+    n = draw(st.integers(min_value=1, max_value=40))
+    values = st.floats(min_value=-1e150, max_value=1e150, allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(np.float64, (d, n), elements=values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_step_blocks())
+def test_pair_products_may_overwrite_their_input(a):
+    d, n = a.shape
+    apart = _pair_products(a, np.empty((d * (d + 1) // 2, n)))
+    assert apart[_entry_rows(d)].tobytes() == (a[:, None] * a[None, :]).tobytes()
+    out = np.empty_like(apart)
+    out[:d] = a
+    assert _pair_products(out[:d], out).tobytes() == apart.tobytes()
 
 
 @pytest.mark.parametrize("num_levels", [None, 12])
