@@ -82,20 +82,8 @@ def _resolve_dest(args, config) -> str | None:
 def _cmd_gen(args) -> int:
     from .pathgen import GeneratorSpec, generate
 
-    spec = GeneratorSpec(
-        kind=args.kind,
-        base_points=args.n,
-        horizon=args.T,
-        d=args.d,
-        seed=args.seed,
-        drift=args.drift,
-        scale=args.scale,
-        expression=args.expression,
-        slope=args.slope,
-        value=args.value,
-        depth=args.depth,
-    )
-    path = generate(spec)
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "run", "output")}
+    path = generate(GeneratorSpec(**given))
     with _open_output(args.output) as fh:
         write_path_csv(path, fh)
     _say(f"wrote {path.n_points} samples, {path.d} component(s), T={_format(path.horizon)}")
@@ -119,10 +107,7 @@ def _cmd_qv(args) -> int:
         entries, level_diff = rep.entries, rep.last_gap
     else:
         entries, level_diff = qv_matrix(x, part, levels).entries, np.zeros(x.n_points)
-    table = np.empty((x.n_points, entries.shape[0] + 2))
-    table[:, 0] = x.times
-    table[:, 1:-1] = entries.T
-    table[:, -1] = level_diff
+    table = np.column_stack([x.times, entries.T, level_diff])
     header = ["t", *_entry_names(x.d), "level_diff"]
     with _open_output(_resolve_dest(args, None)) as fh:
         _write_table(fh, header, table)
@@ -140,17 +125,16 @@ def _experiment_objects(args):
     x = resolve_path(config)
     part = partition_for(config, x)
     a = build_components(config, x, part)
-    return config, x, part, a
+    return config, x, part, a, 0 if a is None else a.m
 
 
 def _cmd_integrate(args) -> int:
     from .config import build_functional
     from .ito import AdmissibleIntegrand, ito_integral
 
-    config, x, part, a = _experiment_objects(args)
+    config, x, part, a, m = _experiment_objects(args)
     if config.functional is None:
         raise ValueError("integrate needs a 'functional' entry in the config")
-    m = 0 if a is None else a.m
     xi = AdmissibleIntegrand(build_functional(config.functional, x.d, m), a)
     result = ito_integral(xi, x, part, levels=config.levels, tol=config.tolerance)
     blocks = []
@@ -170,10 +154,9 @@ def _cmd_ito_check(args) -> int:
     from .config import build_functional
     from .ito import ito_formula_report
 
-    config, x, part, a = _experiment_objects(args)
+    config, x, part, a, m = _experiment_objects(args)
     if config.functional is None:
         raise ValueError("ito-check needs a 'functional' entry in the config")
-    m = 0 if a is None else a.m
     F = build_functional(config.functional, x.d, m)
     rep = ito_formula_report(F, x, a, part, levels=config.levels)
     terms = (rep.levels, rep.lhs, rep.ito_at_T, rep.horizontal_at_T, rep.qv_at_T)
@@ -190,10 +173,9 @@ def _cmd_assoc_check(args) -> int:
     from .config import build_functional
     from .ito import AdmissibleIntegrand, associativity_check
 
-    config, x, part, a = _experiment_objects(args)
+    config, x, part, a, m = _experiment_objects(args)
     if config.outer is None or not config.integrands:
         raise ValueError("assoc-check needs 'outer' and 'integrands' in the config")
-    m = 0 if a is None else a.m
     xis = [
         AdmissibleIntegrand(build_functional(spec, x.d, m), a)
         for spec in config.integrands
@@ -229,18 +211,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="write a synthetic path as CSV")
+    # An option left out takes GeneratorSpec's default.
+    gen = sub.add_parser(
+        "gen", help="write a synthetic path as CSV", argument_default=argparse.SUPPRESS
+    )
     gen.add_argument("--kind", required=True)
-    gen.add_argument("--n", type=int, required=True, help="base points (power of two)")
-    gen.add_argument("--T", type=float, default=1.0, help="horizon")
-    gen.add_argument("--d", type=int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--drift", type=float, default=0.0)
-    gen.add_argument("--scale", type=float, default=1.0)
-    gen.add_argument("--expression", default=None, help="formula in t (smooth kind)")
-    gen.add_argument("--slope", default=None, help="slope formula in t (monotone-bv)")
-    gen.add_argument("--value", type=float, default=0.0, help="constant kind value")
-    gen.add_argument("--depth", type=int, default=24, help="takagi-like tent depth")
+    gen.add_argument("--n", dest="base_points", metavar="N", type=int, required=True,
+                     help="base points (power of two)")
+    gen.add_argument("--T", dest="horizon", metavar="T", type=float, help="horizon")
+    gen.add_argument("--d", type=int)
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--drift", type=float)
+    gen.add_argument("--scale", type=float)
+    gen.add_argument("--expression", help="formula in t (smooth kind)")
+    gen.add_argument("--slope", help="slope formula in t (monotone-bv)")
+    gen.add_argument("--value", type=float, help="constant kind value")
+    gen.add_argument("--depth", type=int, help="takagi-like tent depth")
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(run=_cmd_gen)
 

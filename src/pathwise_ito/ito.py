@@ -144,19 +144,13 @@ def ito_integral(
     lv = partition._level_list(levels)
     n_pts = x.n_points
     values = np.empty((len(lv), n_pts))
-    interp = np.zeros((len(lv), n_pts), dtype=bool)
-    # A state-only integrand, and any integrand under the plain convention,
-    # is evaluated once at the union of every level's left partition points.
-    is_left = np.zeros(n_pts, dtype=bool)
-    for n in lv:
-        is_left[partition.indices(n)[:-1]] = True
-    lefts = np.flatnonzero(is_left)
+    interp = np.ones((len(lv), n_pts), dtype=bool)
+    # A state-only integrand, and any integrand under the plain convention, is
+    # evaluated once at the finest level's left partition points.  The levels
+    # nest, so level n's left points are every (stride(n) // stride(finest))-th.
     sample = _sampled if plain_riemann else _state_slot
-    at_lefts = sample(xi.functional, "vertical", x, xi.bv, lefts)
-    if at_lefts is not None:
-        xi_grid = np.empty((n_pts, x.d))
-        xi_grid[lefts] = at_lefts
-    else:
+    at_lefts = sample(xi.functional, "vertical", x, xi.bv, partition.indices(lv[-1])[:-1])
+    if at_lefts is None:
         # Every level fills before any term is summed, finest first: its left
         # points hold every coarser level's, so a domain error names the same
         # first bad time as on the state route.
@@ -173,13 +167,13 @@ def ito_integral(
         idx = partition.indices(n)
         pts = x.times[idx]
         dx = x.values[idx[1:]] - x.values[idx[:-1]]
-        xi_rows = xi_grid[idx[:-1]] if at_lefts is not None else per_cell[n]
+        step = partition.stride(n) // partition.stride(lv[-1])
+        xi_rows = per_cell[n] if at_lefts is None else at_lefts[::step]
         with np.errstate(invalid="ignore", over="ignore"):
             at_points = running_sum(ordered_dot(xi_rows, dx))
         _require_finite("ito term xi . dX", at_points[1:], pts, f"at level {n}")
         values[row] = np.interp(x.times, pts, at_points)
         values[row, idx] = at_points
-        interp[row] = True
         interp[row, idx] = False
     diffs = (
         np.max(np.abs(np.diff(values, axis=0)), axis=1)

@@ -1,5 +1,6 @@
 """The config's table of JSON types: it matches the spec dataclasses, and no
 mutation of a golden config gets past it as anything but a clean exit."""
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -13,7 +14,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathwise_ito.cli import cli_main
+from pathwise_ito.cli import _build_parser, cli_main
 from pathwise_ito.config import _FIELDS, ComponentSpec
 from pathwise_ito.pathgen import GeneratorSpec
 
@@ -60,6 +61,11 @@ TAKES = {
 def test_table_entries_match_the_spec_dataclasses():
     assert set(_FIELDS["generator"]) == {f.name for f in dataclasses.fields(GeneratorSpec)}
     assert set(_FIELDS["component"]) == {f.name for f in dataclasses.fields(ComponentSpec)}
+    # gen's options are GeneratorSpec's fields, and the spec alone holds their defaults
+    (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [a for a in sub.choices["gen"]._actions if a.dest not in ("help", "output")]
+    assert {a.dest for a in options} == {f.name for f in dataclasses.fields(GeneratorSpec)}
+    assert [a.dest for a in options if a.default is not argparse.SUPPRESS] == []
 
 
 def _objects(doc, kind, prefix=()):

@@ -256,6 +256,25 @@ def test_constant_integrand_scales_exactly(c, k):
     )
 
 
+@settings(max_examples=25, deadline=None)
+@given(levels=st.sets(st.integers(1, 8), min_size=1), plain=st.booleans())
+def test_one_integrand_sample_serves_every_level(levels, plain):
+    # the finest level's left points hold every coarser level's, so grad runs
+    # once at each of them, in grid order, whichever levels are asked for
+    x, part = _brownian(exponent=8, seed=3)
+    calls = []
+
+    def grad(t, xv, av):
+        calls.append(t)
+        return 2.0 * xv
+
+    F = cylinder(lambda t, xv, av: xv[0] ** 2, d=1, grad=grad)
+    lv = sorted(levels)
+    ito_integral(AdmissibleIntegrand(F), x, part, levels=lv, plain_riemann=plain)
+    assert len(calls) == part.indices(max(lv)).size - 1
+    assert calls == part.points(max(lv))[:-1].tolist()
+
+
 # ---------------------------------------------------------------------------
 # change-of-variables reports
 
