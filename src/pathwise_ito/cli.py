@@ -137,12 +137,10 @@ def _cmd_integrate(args) -> int:
         raise ValueError("integrate needs a 'functional' entry in the config")
     xi = AdmissibleIntegrand(build_functional(config.functional, x.d, m), a)
     result = ito_integral(xi, x, part, levels=config.levels, tol=config.tolerance)
-    blocks = []
-    for level, values in zip(result.levels, result.values):
-        k = part.indices(level)
-        blocks.append(np.column_stack([np.full(k.size, level), x.times[k], values[k]]))
+    rows, k = np.nonzero(~result.interpolated)  # level by level, rising grid index
+    table = np.column_stack([np.asarray(result.levels)[rows], x.times[k], result.values[rows, k]])
     with _open_output(_resolve_dest(args, config)) as fh:
-        _write_table(fh, ["level", "t", "I"], np.concatenate(blocks))
+        _write_table(fh, ["level", "t", "I"], table)
     if result.converged is None:
         _say("converged: n/a (single level)")
     else:

@@ -291,7 +291,7 @@ def build_components(
             fn = compile_expression(spec.expression, ("t",))
             col = np.asarray(fn(x.times), dtype=np.float64).reshape(-1, 1)
             piece = BVPath(x.times, col)
-        out = piece if out is None else concat_components(out, piece)
+        out = concat_components(out, piece)
     return out
 
 
@@ -328,10 +328,8 @@ def build_functional(spec: Any, d: int, m: int) -> Functional:
     """Build one functional from its config form for a d-dim path, m components."""
     fields = _fields(spec, "functional")
     if len(fields) != 1:
-        raise ValueError(
-            "a functional spec is an object with exactly one of "
-            "'coordinate', 'cylinder', 'product', 'compose'"
-        )
+        kinds = ", ".join(f"'{kind}'" for kind in _FIELDS["functional"])
+        raise ValueError(f"a functional spec is an object with exactly one of {kinds}")
     (key, body), = fields.items()
     if key == "coordinate":
         if not 0 <= body < d:

@@ -474,8 +474,7 @@ def augment(
     for ell, F in enumerate(f_vec):
         name = f"compensator a{m + ell + 1} of {F.name}"
         _require_finite(name, cols[:, ell], x.times, f"at level {level}")
-    base = a if a is not None else BVPath.empty(x.times)
-    a_tilde = concat_components(base, BVPath(x.times, cols))
+    a_tilde = concat_components(a, BVPath(x.times, cols))
     constants = np.array([F.evaluate(0.0, x, a) for F in f_vec])
     functionals = tuple(
         _augmented_functional(F, ell, m, len(f_vec), float(constants[ell]))
@@ -645,8 +644,7 @@ def corollary_decomposition(
     qv_relative = _qv_identity(y, sam, x, partition, lv[-1]).relative
     _qv_gate(qv_relative, qv_gate_tol, "hypothesis for Y = F(., X, A)")
     eta_samples = _sampled(eta.functional, "vertical", y, eta.bv)
-    base = a if a is not None else BVPath.empty(x.times)
-    zeta = AdmissibleIntegrand(compose(eta.functional, f_vec), concat_components(base, eta.bv))
+    zeta = AdmissibleIntegrand(compose(eta.functional, f_vec), concat_components(a, eta.bv))
     lhs_T = ito_integral(eta, y, partition, lv).values[:, -1].copy()
     ito_T = ito_integral(zeta, x, partition, lv).values[:, -1].copy()
     horizs, qvs = _compensator(f_vec, x, a, partition, lv, eta_samples)

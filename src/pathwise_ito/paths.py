@@ -300,11 +300,11 @@ class BVPath(SampledPath):
         return BVPath._trusted(self.times, self.values[:, lo:hi], LINEAR, self.domain)
 
 
-def concat_components(a: BVPath, b: BVPath | None) -> BVPath:
-    """Positional concatenation of extra components on a shared grid."""
+def concat_components(a: BVPath | None, b: BVPath | None) -> BVPath | None:
+    """The columns of a, then of b, on a shared grid; ``None`` stands for no components."""
     if b is None or b.m == 0:
         return a
-    if a.m == 0:
+    if a is None or a.m == 0:
         return b
     _require_same_grid(a, b)
     vals = np.ascontiguousarray(np.hstack([a.values, b.values]))

@@ -23,9 +23,10 @@ and w = x(u) - x(s) (:func:`_anchored_steps`); the Ito compensator, the QV
 identity for Y and :func:`qv_measures` use these increments.  Every product
 a_i a_j, i <= j, is written by :func:`_pair_products` into one packed (k, N)
 layout, k = d(d + 1)/2: the upper triangle row by row (``np.triu_indices``
-order), which is the order of the ``qv`` table's columns.  A
-:class:`QVMatrix` keeps this layout and builds its (N, d, d) ``matrices``
-only when they are read.
+order), which is the order of the ``qv`` table's columns.  Entry (i, j) is
+packed row ``_entry_rows(d)[i, j]``, so every unpack is the one gather
+``packed[_entry_rows(d)]``; a :class:`QVMatrix` makes it for its
+``matrices`` only when they are read.
 
 A level allocates no (k, N) temporaries beyond its output.  The anchors
 0, s, 2s, ... of stride s are the strided view ``cols[:, 0:N-1:s]``, not a
@@ -88,14 +89,6 @@ def _entry_rows(d: int) -> np.ndarray:
 def _entry_names(d: int) -> list[str]:
     """qv_ij for each packed row, in row order."""
     return [f"qv_{i + 1}{j + 1}" for i, j in zip(*np.triu_indices(d))]
-
-
-def _unpack(entries: np.ndarray, d: int) -> np.ndarray:
-    """Packed (k, M) entries as (M, d, d) symmetric matrices."""
-    out = np.empty((entries.shape[1], d, d))
-    for i, rows in enumerate(_entry_rows(d)):  # one matrix row at a time
-        out[:, i] = entries[rows].T
-    return out
 
 
 def _entry_paths(
@@ -169,11 +162,12 @@ class QVMatrix:
     """Symmetric QV/covariation matrices along the grid at one level.
 
     ``entries`` holds the packed (k, N) entry paths; ``matrices`` (N, d, d)
-    is unpacked from them on first read, cached and read-only.  Entry paths
-    are continuous between partition points thanks to final-cell clipping,
-    start at zero, and the diagonals are nondecreasing along partition
-    points (between them the clipped term can dip while the path wanders
-    back toward its anchor).
+    is their gather by ``_entry_rows(d)`` with time moved to the front, made
+    on first read, cached and read-only; it need not be C-contiguous.  Entry
+    paths are continuous between partition points thanks to final-cell
+    clipping, start at zero, and the diagonals are nondecreasing along
+    partition points (between them the clipped term can dip while the path
+    wanders back toward its anchor).
     When produced by :func:`qv_converged` the per-level diagnostics are
     attached: ``level_diffs`` between consecutive levels and ``last_gap``,
     the per-grid-time gap between the last two levels.
@@ -190,7 +184,7 @@ class QVMatrix:
 
     @functools.cached_property
     def matrices(self) -> np.ndarray:
-        matrices = _unpack(self.entries, self.d)
+        matrices = np.moveaxis(self.entries[_entry_rows(self.d)], -1, 0)
         matrices.flags.writeable = False
         return matrices
 
@@ -229,13 +223,10 @@ def qv_measures(x: SampledPath, partition: PartitionSequence, level: int) -> Sti
     from .stieltjes import StieltjesMeasure
 
     v, w = _anchored_steps(x, partition, level)
-    inc = np.empty((x.d, x.d, x.n_points - 1))
     with np.errstate(over="ignore", invalid="ignore"):
         packed = _pair_products(v.T, np.empty((x.d * (x.d + 1) // 2, x.n_points - 1)))
-        packed -= _pair_products(w.T, inc.reshape(x.d * x.d, -1)[: packed.shape[0]])  # scratch
-    for i, rows in enumerate(_entry_rows(x.d)):  # one matrix row at a time
-        inc[i] = packed[rows]
-    return StieltjesMeasure(x.times, inc.reshape(x.d * x.d, -1))
+        packed -= _pair_products(w.T, np.empty_like(packed))
+    return StieltjesMeasure(x.times, packed[_entry_rows(x.d).ravel()])
 
 
 def qv_converged(

@@ -405,6 +405,8 @@ def test_bv_concat_and_empty():
     assert empty.m == 0
     assert concat_components(empty, b) is b
     assert concat_components(a, None) is a
+    assert concat_components(None, b) is b
+    assert concat_components(None, None) is None
     with pytest.raises(GridError):
         concat_components(a, BVPath(_grid(5), np.zeros(5)))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -340,6 +341,37 @@ def test_matrix_value_lookup():
     assert np.array_equal(m.value(times[3]), m.matrices[3])
     assert m.d == 2
     assert np.array_equal(m.final(), m.matrices[-1])
+
+
+def _peak(call):
+    """``call()``'s result and the traced peak of the bytes it allocates."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_unpacks_hold_one_gather_beyond_their_inputs():
+    # d = 8, N = 2^10: each (N, d, d) result is 0.5 MB.  ``matrices`` is one
+    # gather of the packed entries; ``qv_measures`` holds, besides its result,
+    # only the packed rank-two rows and the anchored steps v and w.  The slack
+    # covers index arrays, ufunc buffers and the grid check; the w products
+    # kept alive through the gather (0.29 MB), or one more full copy of a
+    # result, exceed it.
+    n, d = 2**10, 8
+    times = np.linspace(0.0, 1.0, n + 1)
+    z = np.random.default_rng(3).standard_normal((n, d)) * (1.0 / n) ** 0.5
+    x = SampledPath(times, np.vstack([np.zeros(d), np.cumsum(z, axis=0)]))
+    part = PartitionSequence(times, num_levels=10)
+    m = qv_matrix(x, part, 8)
+    matrices, peak = _peak(lambda: m.matrices)
+    assert peak < matrices.nbytes + 2**16
+    measure, peak = _peak(lambda: qv_measures(x, part, 8))
+    packed = d * (d + 1) // 2 * n * 8
+    steps = 2 * n * d * 8
+    assert peak < measure.increments.nbytes + packed + steps + 2**17
 
 
 @given(

@@ -34,8 +34,7 @@ from pathwise_ito.paths import (
     write_path_csv,
 )
 from pathwise_ito.qv import (
-    _entry_paths,
-    _unpack,
+    _entry_rows,
     qv_converged,
     qv_matrix,
     qv_measures,
@@ -196,12 +195,10 @@ def _paths(draw, scales=(1e-3, 1.0, 1e3)):
 def test_batched_qv_matches_the_per_column_reference(case):
     x, num_levels = case
     part = PartitionSequence(x.times, num_levels)
-    cols = np.ascontiguousarray(x.values.T)
     refs = {}
     for level in range(1, num_levels + 1):
         ref_mats = _reference_matrix_paths(x, part, level)
         refs[level] = ref_mats
-        assert _same_bits(_unpack(_entry_paths(cols, part, level), x.d), ref_mats)
         assert _same_bits(qv_matrix(x, part, level).matrices, ref_mats)
         rows = qv_measures(x, part, level).increments  # row i * d + j: d[x_i, x_j]
         assert _same_bits(rows, _rank_two_measure_loop(x, part, level))
@@ -294,7 +291,7 @@ def test_qv_matrix_builds_its_matrices_on_read():
     for m in (qv_matrix(x, part, 5), qv_converged(x, part)):
         assert "matrices" not in vars(m)  # not built until read
         first = m.matrices
-        assert _same_bits(first, _unpack(m.entries, x.d))
+        assert _same_bits(first, np.moveaxis(m.entries[_entry_rows(x.d)], -1, 0))
         assert not first.flags.writeable
         assert m.matrices is first
         assert m.d == x.d
