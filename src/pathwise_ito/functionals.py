@@ -68,7 +68,6 @@ from .paths import (
     _require_same_grid,
     stop,
 )
-from .qv import qv_matrix
 from .reduction import ordered_dot
 
 _DERIV_GUARD = 1e-14
@@ -529,7 +528,9 @@ def quadratic_variation_path(
     x: SampledPath, partition: PartitionSequence, level: int, i: int = 0
 ) -> BVPath:
     """A(t) = level-n quadratic variation path of X_i as an extra component."""
-    return BVPath(x.times, qv_matrix(x, partition, level).entry_path(i, i))
+    from .qv import _diagonal_path
+
+    return BVPath(x.times, _diagonal_path(x, partition, level, i))
 
 
 # ---------------------------------------------------------------------------

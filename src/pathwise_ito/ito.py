@@ -25,7 +25,9 @@ first grid time at which the term's running path is non-finite.
 The compensator, integral DF . d(t, A) + 1/2 D2F : d[X]_n, is formed in one
 place, ``_compensator``, for the formula report, ``augment`` and the
 corollary, which check their own terms.  It and the QV identity for Y take
-d[X]_n cell by cell as the rank-two v v^T - w w^T of ``qv._anchored_steps``.
+d[X]_n cell by cell as the rank-two v v^T - w w^T of ``qv._anchored_steps``;
+the identity's packed cells come from ``qv._rank_two_cells``, so the packed
+layout is decided in qv.py alone.
 
 Cost.  Each slot's route, and so its cost a level, is the rule in the
 ``functionals`` module docstring.
@@ -51,9 +53,7 @@ from .paths import (
     _stepped,
     concat_components,
 )
-from .qv import _anchored_steps, _entry_rows, _pair_products, qv_matrix
 from .reduction import map_chunked, ordered_dot, running_sum
-from .stieltjes import cumulative_stieltjes, measures_with_clock
 
 _TINY = 1e-30
 
@@ -221,7 +221,12 @@ def _compensator(fs, x: SampledPath, a: BVPath | None, partition, levels, weight
     """Unchecked running paths (horiz, qv): horiz[l] of integral w DF_l . d(t, A) and
     qv[k, l] of 1/2 integral w D2F_l : d[X]_n at n = levels[k]; w = weights[:, l] or 1.
     A base cell adds +0.0 + sum_ij D2F_ij (v_i v_j - w_i w_j) in row-major (i, j) order,
-    D2F at its left end and (v, w) its ``_anchored_steps``."""
+    D2F at its left end and (v, w) its ``_anchored_steps``.  The block stays row-wise, not
+    ``_rank_two_cells``' packed rows: those give the same bits, but hold d(d + 1)/2 rows
+    of N - 1 a level and ran no faster."""
+    from .qv import _anchored_steps
+    from .stieltjes import cumulative_stieltjes, measures_with_clock
+
     _require_same_grid(x, partition)  # the grid and the levels before any slot is sampled
     for n in levels:
         partition._check_level(n)
@@ -349,15 +354,11 @@ def _weighted_qv_paths(
     """Packed rows of t -> integral of xi_(i)^T d[X]_n xi_(j): row ``_entry_rows(nu)[i, j]``
     for each pair i <= j, summing (xi_i . v)(xi_j . v) - (xi_i . w)(xi_j . w) over the base
     cells, xi at each cell's left end and (v, w) its ``_anchored_steps``."""
-    nu, n_pts, _ = sam.shape
+    from .qv import _anchored_steps, _rank_two_cells
+
     v, w = _anchored_steps(x, partition, level)
-    out = np.empty((nu * (nu + 1) // 2, n_pts))
-    cells = out[:, 1:]
-    _pair_products(ordered_dot(sam[:, :-1], v), cells)
-    cells -= _pair_products(ordered_dot(sam[:, :-1], w), np.empty_like(cells))
-    out[:, 0] = 0.0
-    np.cumsum(cells, axis=1, out=cells)
-    return out
+    lefts = sam[:, :-1]
+    return running_sum(_rank_two_cells(ordered_dot(lefts, v), ordered_dot(lefts, w)))
 
 
 def _qv_identity(
@@ -365,6 +366,8 @@ def _qv_identity(
 ) -> QvIdentityReport:
     """Compare qv_matrix of a given Y against [X] integrals weighted by sam, row by
     packed row; ``_entry_rows`` maps each row's max over time to its (i, j) residual."""
+    from .qv import _entry_rows, qv_matrix
+
     direct = qv_matrix(y, partition, level)
     gap = _weighted_qv_paths(sam, x, partition, level)
     np.subtract(direct.entries, gap, out=gap)

@@ -20,10 +20,11 @@ where L is the running sum, from +0.0, of the products of the level
 increments.  A diagonal is the scalar sum above, and over a base cell
 [u, u'] an entry grows by the rank-two v_i v_j - w_i w_j, v = x(u') - x(s)
 and w = x(u) - x(s) (:func:`_anchored_steps`); the Ito compensator, the QV
-identity for Y and :func:`qv_measures` use these increments.  Every product
-a_i a_j, i <= j, is written by :func:`_pair_products` into one packed (k, N)
-layout, k = d(d + 1)/2: the upper triangle row by row (``np.triu_indices``
-order), which is the order of the ``qv`` table's columns.  Entry (i, j) is
+identity for Y and :func:`qv_measures` use these increments, the last two
+packed by :func:`_rank_two_cells`.  Every product a_i a_j, i <= j, is
+written by :func:`_pair_products` into one packed (k, N) layout,
+k = d(d + 1)/2: the upper triangle row by row (``np.triu_indices`` order),
+which is the order of the ``qv`` table's columns.  Entry (i, j) is
 packed row ``_entry_rows(d)[i, j]``, so every unpack is the one gather
 ``packed[_entry_rows(d)]``; a :class:`QVMatrix` makes it for its
 ``matrices`` only when they are read.
@@ -126,6 +127,26 @@ def _entry_paths(
     return paths
 
 
+def _diagonal_path(x: SampledPath, partition: PartitionSequence, level: int, i: int) -> np.ndarray:
+    """[x_i]_n along the grid from column i alone; DomainError naming qv_ii on overflow."""
+    _require_same_grid(x, partition)
+    if not 0 <= i < x.d:
+        raise ValueError(f"component must lie in [0, {x.d - 1}]")
+    path = _entry_paths(x.values[:, i][None, :], partition, level)[0]
+    _require_finite(f"qv_{i + 1}{i + 1}", path, x.times, f"at level {level}")
+    return path
+
+
+def _rank_two_cells(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Packed (k, n) cells v_i v_j - w_i w_j, i <= j, of the (r, n) step rows v and w,
+    k = r(r + 1)/2; the w-products scratch is freed before the cells are returned."""
+    r, n = v.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # callers report non-finite terms
+        cells = _pair_products(v, np.empty((r * (r + 1) // 2, n)))
+        cells -= _pair_products(w, np.empty_like(cells))
+    return cells
+
+
 def _anchored_steps(x: SampledPath, partition: PartitionSequence, level: int):
     """(v, w), each (N-1, d): v = x(u') - x(s), w = x(u) - x(s) for every base cell [u, u'],
     j-th cell's anchor s = (j // stride) * stride: a cell that ends at a partition point keeps
@@ -147,11 +168,7 @@ def qv_scalar(
     component: int = 0,
 ) -> float:
     """Level-n quadratic variation of one component up to grid time t."""
-    _require_same_grid(x, partition)
-    if not 0 <= component < x.d:
-        raise ValueError(f"component must lie in [0, {x.d - 1}]")
-    path = _entry_paths(x.values[:, component][None, :], partition, level)[0]
-    _require_finite(f"qv_{component + 1}{component + 1}", path, x.times, f"at level {level}")
+    path = _diagonal_path(x, partition, level, component)
     if t is None:
         return float(path[-1])
     return float(path[x.grid_index(t)])
@@ -223,10 +240,7 @@ def qv_measures(x: SampledPath, partition: PartitionSequence, level: int) -> Sti
     from .stieltjes import StieltjesMeasure
 
     v, w = _anchored_steps(x, partition, level)
-    with np.errstate(over="ignore", invalid="ignore"):
-        packed = _pair_products(v.T, np.empty((x.d * (x.d + 1) // 2, x.n_points - 1)))
-        packed -= _pair_products(w.T, np.empty_like(packed))
-    return StieltjesMeasure(x.times, packed[_entry_rows(x.d).ravel()])
+    return StieltjesMeasure(x.times, _rank_two_cells(v.T, w.T)[_entry_rows(x.d).ravel()])
 
 
 def qv_converged(

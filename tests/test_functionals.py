@@ -482,6 +482,39 @@ def test_quadratic_variation_path_component():
     assert np.all(np.diff(qvp.values[:, 0]) > -1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_quadratic_variation_path_is_the_qv_matrix_diagonal_bitwise(data):
+    from pathwise_ito.qv import qv_matrix
+
+    d = data.draw(st.integers(1, 4))
+    n_pts = data.draw(st.integers(2, 2**8 + 1))  # partial last cells included
+    num_levels = data.draw(st.integers(1, 8))
+    flat = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n_pts * d, max_size=n_pts * d))
+    x = SampledPath(_grid(n_pts), np.array(flat).reshape(n_pts, d), LINEAR)
+    part = PartitionSequence(x.times, num_levels)
+    for n in range(1, num_levels + 1):
+        entries = qv_matrix(x, part, n)
+        for i in range(d):
+            got = quadratic_variation_path(x, part, n, i).values[:, 0]
+            assert got.tobytes() == entries.entry_path(i, i).tobytes(), (n, i)
+
+
+def test_quadratic_variation_path_ignores_another_components_overflow():
+    # x2's squared jumps (1e310) overflow; x1's component reads only x1
+    from pathwise_ito.qv import qv_scalar
+
+    t = _grid(9)
+    alternating = np.arange(9) % 2
+    x = SampledPath(t, np.column_stack([0.1 * alternating, 1e155 * alternating]), LINEAR)
+    part = PartitionSequence(t, 3)
+    qvp = quadratic_variation_path(x, part, 3, 0)
+    assert qvp.values[-1, 0] == qv_scalar(x, part, 3, component=0)
+    assert math.isclose(qvp.values[-1, 0], 0.08, rel_tol=1e-12)
+    with pytest.raises(DomainError, match=r"non-finite qv_22 at level 3, grid time 0\.125"):
+        quadratic_variation_path(x, part, 3, 1)
+
+
 def test_probe_regularity_accepts_a_coordinate():
     x = _wavy_path()
     rep = probe_regularity(coordinate(0), x)

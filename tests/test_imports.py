@@ -2,8 +2,9 @@
 
 ``pathwise_ito`` resolves its public names on first access, and each
 subcommand imports only the modules it runs, so ``gen`` and ``qv`` never pay
-for the functional, formula and integral layers, and a config that names a
-path file never loads the generators.  The CLI asks OpenBLAS for one thread
+for the functional, formula and integral layers, ``integrate`` never loads
+the QV and Stieltjes layers, and a config that names a path file never loads
+the generators.  The CLI asks OpenBLAS for one thread
 unless the environment picks a count; the library leaves ``os.environ`` alone.
 Checked in a fresh interpreter, since the test session itself has imported
 everything.
@@ -36,6 +37,18 @@ def _run(script, *args, **preset):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _cylinder_config(tmp_path):
+    """A config of x1**2 on a 9-point path file in ``tmp_path``."""
+    path = tmp_path / "x.csv"
+    path.write_text("t,x1\n" + "".join(f"{i / 8!r},{(i % 3) / 4!r}\n" for i in range(9)))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "path": {"file": str(path)},
+        "functional": {"cylinder": {"f": "x1**2", "grad": ["2*x1"], "hess": [["2"]], "dt": "0"}},
+    }))
+    return config
 
 
 _SCRIPT = """
@@ -114,13 +127,7 @@ print(json.dumps(report))
 
 
 def test_cli_runs_openblas_on_one_thread_and_a_path_file_loads_no_generator(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("t,x1\n" + "".join(f"{i / 8!r},{(i % 3) / 4!r}\n" for i in range(9)))
-    config = tmp_path / "c.json"
-    config.write_text(json.dumps({
-        "path": {"file": str(path)},
-        "functional": {"cylinder": {"f": "x1**2", "grad": ["2*x1"], "hess": [["2"]], "dt": "0"}},
-    }))
+    config = _cylinder_config(tmp_path)
     report = _run(_ENV_SCRIPT, "cli", config, tmp_path / "out.csv")
     assert report["changed"] == ["OPENBLAS_NUM_THREADS"]
     assert report["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None, "OMP_NUM_THREADS": None}
@@ -129,6 +136,26 @@ def test_cli_runs_openblas_on_one_thread_and_a_path_file_loads_no_generator(tmp_
     if report["tasks"] is None:
         pytest.skip("thread count read from /proc/self/task on Linux only")
     assert report["tasks"] == 1
+
+
+_QV_SCRIPT = """
+import json, sys
+from pathwise_ito.cli import cli_main
+command, config, out = sys.argv[1:]
+code = cli_main([command, "-c", config, "-o", out])
+qv_layer = ("pathwise_ito.qv", "pathwise_ito.stieltjes")
+print(json.dumps({"code": code, "loaded": [m for m in qv_layer if m in sys.modules]}))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [("integrate", []), ("ito-check", ["pathwise_ito.qv", "pathwise_ito.stieltjes"])],
+)
+def test_integrate_loads_no_qv_layer_and_ito_check_loads_it(tmp_path, command, loaded):
+    config = _cylinder_config(tmp_path)
+    report = _run(_QV_SCRIPT, command, config, tmp_path / "out.csv")
+    assert report == {"code": 0, "loaded": loaded}
 
 
 @pytest.mark.parametrize(

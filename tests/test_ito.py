@@ -39,7 +39,6 @@ from pathwise_ito.paths import (
     PartitionSequence,
     SampledPath,
 )
-from pathwise_ito import ito as ito_module
 from pathwise_ito import qv as qv_module
 from pathwise_ito.qv import qv_matrix, qv_scalar
 from pathwise_ito.stieltjes import StieltjesMeasure, cumulative_stieltjes
@@ -321,14 +320,14 @@ def test_formula_report_with_clock_term():
 def test_formula_report_runs_one_qv_pass_per_level(levels, monkeypatch):
     # one set of anchored steps a level, and no QV entry paths
     x, part = _brownian(exponent=8)
-    real_steps, real_paths = ito_module._anchored_steps, qv_module._entry_paths
+    real_steps, real_paths = qv_module._anchored_steps, qv_module._entry_paths
     passes, paths = [], []
 
     def counted(x_, partition, level):
         passes.append(level)
         return real_steps(x_, partition, level)
 
-    monkeypatch.setattr(ito_module, "_anchored_steps", counted)
+    monkeypatch.setattr(qv_module, "_anchored_steps", counted)
     monkeypatch.setattr(qv_module, "_entry_paths",
                         lambda *args, **kwargs: paths.append(1) or real_paths(*args, **kwargs))
     rep = ito_formula_report(_square_functional(), x, None, part, levels)

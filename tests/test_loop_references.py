@@ -7,7 +7,9 @@ kept here as references, for d and the number of integrands from 1 to 3.
 The plain sums must give the loop's bits, the sign of a zero included.  The
 weighted integrals now sum (xi_i . v)(xi_j . v) - (xi_i . w)(xi_j . w) per
 cell, in another order than the loop's entry-by-entry sums, so the two
-must agree within the sum of their a-priori rounding bounds.
+must agree within the sum of their a-priori rounding bounds.  The
+compensator's QV term is checked against its definition, one cell at a
+time in Python floats, bit for bit.
 
 Every row dot product in the package goes through ``reduction.ordered_dot``,
 which must give the bits of a left-to-right loop over Python floats; no BLAS
@@ -22,8 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathwise_ito
-from pathwise_ito.functionals import Functional
-from pathwise_ito.ito import AdmissibleIntegrand, _weighted_qv_paths, ito_integral
+from pathwise_ito.functionals import Functional, cylinder
+from pathwise_ito.ito import AdmissibleIntegrand, _compensator, _weighted_qv_paths, ito_integral
 from pathwise_ito.paths import PartitionSequence, SampledPath
 from pathwise_ito.qv import _anchored_steps, _entry_rows, qv_measures
 from pathwise_ito.reduction import ordered_dot, running_sum
@@ -56,6 +58,27 @@ def _weighted_qv_loop(sam, x, partition, level):
             out[:, i, j] = acc
             out[:, j, i] = acc
     return out
+
+
+def _compensator_qv_loop(hess, x, partition, level):
+    """1/2 the running sum of the cells +0.0 + sum_ij D2F_ij(u) (v_i v_j - w_i w_j), (i, j)
+    row-major, over the base cells [u, u']: v = x(u') - x(s), w = x(u) - x(s), s the cell's
+    level anchor (the last partition point strictly before u')."""
+    stride = partition.stride(level)
+    vals = x.values.tolist()
+    d = x.d
+    sums = [0.0]
+    for j in range(x.n_points - 1):
+        anchor = vals[j // stride * stride]
+        v = [vals[j + 1][i] - anchor[i] for i in range(d)]
+        w = [vals[j][i] - anchor[i] for i in range(d)]
+        h = hess(float(x.times[j]), x.values[j], np.zeros(0)).tolist()
+        cell = 0.0
+        for i in range(d):
+            for k in range(d):
+                cell = cell + h[i][k] * (v[i] * v[k] - w[i] * w[k])
+        sums.append(sums[-1] + cell)
+    return np.array([0.5 * c for c in sums])
 
 
 def _loop_dot(u, v):
@@ -156,6 +179,25 @@ def test_plain_sums_match_the_per_cell_dot_loop(data):
     for row, n in enumerate(levels):
         want = _plain_sums_loop(xi, x, part, n)
         assert _bits(got.values[row, part.indices(n)]) == _bits(want), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compensator_qv_term_matches_its_per_cell_definition(data):
+    d = data.draw(st.integers(1, 4))
+    x = _path(data.draw, d)
+    coeffs = _array(data.draw, (d, d))  # H_ij = c_ij x_j: not symmetric
+
+    def hess(t, xv, av):
+        return coeffs * xv[None, :]
+
+    F = cylinder(lambda t, xv, av: 0.0, d=d, grad=lambda t, xv, av: np.zeros(d), hess=hess,
+                 dt=lambda t, xv, av: 0.0, name="non-symmetric hess")
+    part = PartitionSequence(x.times, NUM_LEVELS)
+    levels = sorted(data.draw(st.sets(st.integers(1, NUM_LEVELS), min_size=1)))
+    _, qv = _compensator([F], x, None, part, levels)
+    for k, n in enumerate(levels):
+        assert _bits(qv[k, 0]) == _bits(_compensator_qv_loop(hess, x, part, n)), n
 
 
 @st.composite
