@@ -1,8 +1,12 @@
 """CSV rows of ``'%.17g'`` cells, formatted by integer arithmetic on arrays.
 
-``paths._write_table`` states why the digits are exact and which cells fall
-back to Python's formatting.  Here M * 5**k is formed as two uint64 words
-from 32-bit limbs, and the digits are laid out by per-exponent tables.
+The digits are exact.  A finite cell with 1e-11 < |v| < 1e17 is
+M * 2**E with M < 2**53, and its 17 digits are M * 5**k * 2**(E + k) for
+k = 16 - floor(log10 |v|) in [0, 27], a product below 2**116 that is formed
+as two uint64 words from 32-bit limbs and rounded half to even on its exact
+remainder, as ``'%.17g'`` rounds.  The digits are laid out by per-exponent
+tables.  The other cells (0, -0, inf, nan, |v| >= 1e17 and |v| <= 1e-11)
+fall back to Python's ``'%.17g' % v``.
 """
 from __future__ import annotations
 

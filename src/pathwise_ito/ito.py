@@ -158,8 +158,8 @@ def ito_integral(
         for n in reversed(lv):
             idx = partition.indices(n)
             stepped = _stepped(x, partition, n)
-            def fill(lo, hi, out):
-                for j in range(lo, hi):
+            def fill(out):
+                for j in range(out.shape[0]):
                     pre = _frozen_from(stepped, idx[j], x._row(idx[j]))
                     out[j] = xi.xi(float(x.times[idx[j]]), pre)
             per_cell[n] = map_chunked(fill, np.empty((idx.shape[0] - 1, x.d)))

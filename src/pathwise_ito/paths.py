@@ -17,7 +17,6 @@ one, so levels are nested and the finest level is the grid itself.
 """
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import math
@@ -155,7 +154,7 @@ def _validate_grid(times: np.ndarray) -> np.ndarray:
 class SampledPath:
     """A vector-valued path sampled on a fixed grid.
 
-    ``values`` has shape (N, d); a 1-d array is promoted to a single
+    ``values`` has shape (N, d), d >= 1; a 1-d array is promoted to a single
     component.  If ``domain`` (a :class:`Box`) is given, every grid value
     must lie inside it (a violation raises :class:`DomainError` at
     construction, which is what makes one-sided finite differences near a
@@ -193,7 +192,8 @@ class SampledPath:
         object.__setattr__(self, "d", v.shape[1])
 
     def _check_extra(self, values: np.ndarray) -> None:
-        pass
+        if values.shape[1] == 0:
+            raise GridError("a path needs at least one component")
 
     @classmethod
     def _trusted(
@@ -526,28 +526,14 @@ def _write_table(dest, header: Sequence[str], table: np.ndarray) -> None:
     """Write a header and a float table as CSV, 17 significant digits a cell.
 
     Gives the bytes ``csv.writer`` gives for ``_format`` cells (no quoting,
-    CRLF rows), one block of rows at a time (as bytes to a UTF-8 text
-    stream's buffer, untranslated, as csv wants ``newline=""``) so the file
-    is never held as one string.  The cells are formatted by array
-    arithmetic (``_g17``), exactly:
-    a finite cell with 1e-11 < |v| < 1e17 is M * 2**E with M < 2**53, and its
-    17 digits are M * 5**k * 2**(E + k) for k = 16 - floor(log10 |v|) in
-    [0, 27], a product below 2**116 that is formed as two uint64 words and
-    rounded half to even on its exact remainder, as ``'%.17g'`` rounds.
-    The other cells (0, -0, inf, nan, |v| >= 1e17 and |v| <= 1e-11) are
-    formatted by ``'%.17g' % v`` itself.
+    CRLF rows) on a stream opened with ``newline=""``, one block of rows a
+    ``dest.write`` call so the file is never held as one string.  The cells
+    are formatted by array arithmetic (``_g17``), exactly.
     """
     dest.write(",".join(header) + "\r\n")
-    raw = getattr(dest, "buffer", None)
-    if raw is not None and codecs.lookup(dest.encoding).name == "utf-8":
-        dest.flush()
-        write = raw.write
-    else:
-        def write(cells: bytes) -> None:
-            dest.write(cells.decode("ascii"))
     rows = max(1, _CELLS_PER_WRITE // table.shape[1])
     for start in range(0, table.shape[0], rows):
-        write(format_rows(table[start : start + rows]))
+        dest.write(format_rows(table[start : start + rows]).decode("ascii"))
 
 
 def write_path_csv(path: SampledPath, dest, prefix: str = "x") -> None:

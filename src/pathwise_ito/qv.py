@@ -35,8 +35,8 @@ gather; the steps from them are written into the output's first d rows and
 their products into the whole output.  The level products are cumulated in
 place in one (k, cells + 1) array and added in one broadcast over the
 (k, cells, s) view; the partial last cell and the endpoint are two slices.
-:func:`qv_converged` alternates two (k, N) buffers: the gap between two
-levels is computed in the older one, which then receives the next level.
+:func:`qv_converged` holds two levels' (k, N) outputs at a time: the gap
+between them is computed in the older one, which is then freed.
 
 All reductions run in a fixed order (see reduction.py), so repeated runs
 produce bit-identical results.  A QV whose sums overflow is never
@@ -92,11 +92,8 @@ def _entry_names(d: int) -> list[str]:
     return [f"qv_{i + 1}{j + 1}" for i, j in zip(*np.triu_indices(d))]
 
 
-def _entry_paths(
-    cols: np.ndarray, partition: PartitionSequence, level: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Packed (k, N) entry paths [x_i, x_j], i <= j, of the (d, N) columns ``cols``, into
-    ``out`` when one is given.
+def _entry_paths(cols: np.ndarray, partition: PartitionSequence, level: int) -> np.ndarray:
+    """Packed (k, N) entry paths [x_i, x_j], i <= j, of the (d, N) columns ``cols``.
 
     Overflow yields non-finite entries without a warning; callers that
     report entries check them.
@@ -107,7 +104,7 @@ def _entry_paths(
     q = (n - 1) // s  # full cells; a partial last cell starts at q * s
     anchors = cols[:, 0 : n - 1 : s]
     cells = anchors.shape[1]
-    paths = np.empty((k, n)) if out is None else out
+    paths = np.empty((k, n))
     full = paths[:, : q * s].reshape(k, q, s)
     steps = paths[:d]  # each grid time's step from its cell's anchor
     lvl = np.empty((k, cells + 1))  # 0, then the level increments' products
@@ -266,16 +263,16 @@ def qv_converged(
     cols = np.ascontiguousarray(x.values.T)
     names = _entry_names(x.d)
     diffs = []
-    prev = spare = gap = None
+    prev = gap = None
     for prev_n, n in zip((None,) + levels, levels):
-        entries = _entry_paths(cols, partition, n, out=spare)
+        entries = _entry_paths(cols, partition, n)
         _require_finite(names, entries, x.times, f"at level {n}")
         if prev is not None:  # the gap is computed in the older buffer
             with np.errstate(over="ignore", invalid="ignore"):
                 gap = np.max(np.abs(np.subtract(entries, prev, out=prev), out=prev), axis=0)
             _require_finite("level_diff", gap, x.times, f"between levels {prev_n} and {n}")
             diffs.append(float(np.max(gap)))
-        spare, prev = prev, entries  # the two (k, N) buffers alternate
+        prev = entries  # frees the older buffer
     level_diffs = np.asarray(diffs)
     return QVMatrix(
         times=x.times,

@@ -10,14 +10,14 @@ from typing import Callable
 import numpy as np
 
 
-def map_chunked(fill: Callable[[int, int, np.ndarray], None], out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` along its first axis with one call ``fill(0, n, out)``.
+def map_chunked(fill: Callable[[np.ndarray], None], out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with one call ``fill(out)`` and return it.
 
     The named stage around the per-cell fill loop of a slot without a state
     form (the ``functionals`` module docstring says which); benchmark
     traces time it by this name.
     """
-    fill(0, out.shape[0], out)
+    fill(out)
     return out
 
 

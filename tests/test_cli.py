@@ -158,13 +158,13 @@ def test_qv_two_dimensional_header_and_symmetry(tmp_path, capsys):
 OVERFLOW_ROWS = "t,x1,x2\n0,0,0\n0.25,1e200,1\n0.5,-1e200,1\n0.75,1,2\n1,0,2\n"
 
 
-def _subprocess_cli(argv):
+def _subprocess_cli(argv, text=True, **env):
     src = str(Path(pathwise_ito.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **env)
     return subprocess.run(
         [sys.executable, "-m", "pathwise_ito.cli"] + argv,
         capture_output=True,
-        text=True,
+        text=text,
         env=env,
         timeout=120,
     )
@@ -192,6 +192,27 @@ def test_qv_oversized_cell_is_an_input_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: line 3: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1"])
+def test_qv_stdout_bytes_do_not_depend_on_its_encoding(encoding):
+    proc = _subprocess_cli(["qv", "-i", str(GOLDEN / "gen_d2.csv")], text=False,
+                           PYTHONIOENCODING=encoding)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "qv_d2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["qv", "integrate"])
+def test_a_path_file_with_only_t_is_an_input_error(command, tmp_path, capsys):
+    # no component to read: exit 2 with one line, not a numpy reduction
+    # error or an expression naming an unknown x1
+    p = tmp_path / "t_only.csv"
+    p.write_text("t\n0\n0.5\n1\n")
+    doc = {"path": {"file": str(p)}, "functional": SQUARE}
+    argv = ["-i", str(p)] if command == "qv" else ["-c", _write_config(tmp_path, doc)]
+    code, out, err = _run([command] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: a path needs at least one component\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -264,8 +285,8 @@ def test_qv_runs_one_anchored_step_pass_per_level(argv, code, levels, tmp_path, 
     runs = []
     real = qv._entry_paths
     monkeypatch.setattr(qv, "_entry_paths",
-                        lambda cols, part, level, out=None: runs.append(level)
-                        or real(cols, part, level, out))
+                        lambda cols, part, level: runs.append(level)
+                        or real(cols, part, level))
     assert _run(["qv"] + argv, capsys)[0] == code
     assert runs == levels
 

@@ -59,6 +59,17 @@ def test_grid_must_start_at_zero_and_increase():
         SampledPath(_grid(4), np.zeros(5))
 
 
+def test_a_sampled_path_needs_a_component_and_a_bv_path_may_have_none():
+    # a file whose header is only t loads as no BV components, not as a path
+    t_only = "t\r\n0\r\n0.5\r\n1\r\n"
+    with pytest.raises(GridError, match="at least one component"):
+        SampledPath(_grid(3), np.zeros((3, 0)))
+    with pytest.raises(PathFormatError, match="^a path needs at least one component$"):
+        load_sampled_path(io.StringIO(t_only))
+    assert BVPath(_grid(3), np.zeros((3, 0))).m == 0
+    assert load_bv_path(io.StringIO(t_only)).m == 0
+
+
 def test_values_promoted_to_columns_and_frozen():
     p = SampledPath(_grid(4), np.arange(4.0))
     assert p.values.shape == (4, 1)

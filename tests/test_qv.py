@@ -374,6 +374,27 @@ def test_unpacks_hold_one_gather_beyond_their_inputs():
     assert peak < measure.increments.nbytes + packed + steps + 2**17
 
 
+def test_qv_converged_holds_two_levels_at_a_time():
+    # d = 8, N = 2^10 + 1, all ten levels: each (k, N) entry buffer is 0.30 MB.
+    # Besides the (d, N) column copy and the finest level's (k, cells + 1)
+    # products, only the newest level and the one before it are alive.  The
+    # slack covers ufunc buffers for the strided level views, a copy of the
+    # columns' reshape and the finiteness masks; a third entry buffer kept
+    # alive exceeds it, and so does every level's entries.
+    n, d = 2**10, 8
+    k = d * (d + 1) // 2
+    times = np.linspace(0.0, 1.0, n + 1)
+    z = np.random.default_rng(3).standard_normal((n, d)) * (1.0 / n) ** 0.5
+    x = SampledPath(times, np.vstack([np.zeros(d), np.cumsum(z, axis=0)]))
+    part = PartitionSequence(times, num_levels=10)
+    m, peak = _peak(lambda: qv_converged(x, part))
+    assert m.levels == tuple(range(1, 11))
+    cols = d * (n + 1) * 8
+    entries = k * (n + 1) * 8
+    products = k * (n + 1) * 8  # the finest level has cells + 1 = N + 1 points
+    assert peak < cols + 2 * entries + products + 2**19
+
+
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.floats(min_value=-8.0, max_value=8.0),

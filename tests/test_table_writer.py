@@ -156,8 +156,8 @@ def test_tables_across_block_boundaries_to_every_kind_of_stream(tmp_path):
     header = [f"c{i}" for i in range(cols)]
     want = _reference(header, table)
     assert _written(header, table) == want
-    # A UTF-8 text stream takes the cells as bytes on its buffer, after the
-    # header; another encoding takes them as text.
+    # Every text stream takes the header and the cells as text, so it holds
+    # the table's text in the stream's own encoding.
     for encoding in ("utf-8", "UTF8", "utf-16", "latin-1"):
         raw = io.BytesIO()
         stream = io.TextIOWrapper(raw, encoding=encoding, newline="")
